@@ -11,6 +11,9 @@ cargo build --release
 echo "=== tests ==="
 cargo test -q
 
+echo "=== tests (every workspace crate's own unit tests) ==="
+cargo test --workspace -q
+
 echo "=== clippy (workspace, all targets) ==="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -63,13 +63,27 @@ impl TaskBody {
         &self.stack
     }
 
-    /// Rebuild a *paused* body from migrated parts.
-    pub(crate) fn from_paused_frames(root: NodeId, stack: Vec<Frame>) -> Self {
-        Self {
-            root,
-            stack,
-            paused: true,
-        }
+    /// Re-position a recycled body at `root` with no open frames. The
+    /// frame stack keeps its capacity, so a reused instance slot opens its
+    /// frames without allocating.
+    pub(crate) fn reset(&mut self, root: NodeId) {
+        self.root = root;
+        self.stack.clear();
+        self.paused = false;
+    }
+
+    /// Turn a body without open frames into a *paused* one holding the
+    /// migrated `frames`, outermost first.
+    pub(crate) fn restore_paused(&mut self, frames: impl IntoIterator<Item = Frame>) {
+        debug_assert_eq!(self.depth(), 0, "restore over open frames");
+        self.stack.extend(frames);
+        self.paused = true;
+    }
+
+    /// Frames the stack holds before it must reallocate.
+    #[cfg(test)]
+    pub(crate) fn frame_capacity(&self) -> usize {
+        self.stack.capacity()
     }
 
     /// The node new children are created under: the innermost open frame,

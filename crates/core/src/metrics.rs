@@ -94,11 +94,6 @@ impl Stats {
     pub fn min(&self) -> Option<u64> {
         (self.samples > 0).then_some(self.min_ns)
     }
-
-    /// Reset to empty (node reuse).
-    pub fn clear(&mut self) {
-        *self = Stats::new();
-    }
 }
 
 #[cfg(test)]
@@ -169,14 +164,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.aborted, 3);
         assert_eq!(a.samples, 1, "aborts do not add duration samples");
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut s = Stats::new();
-        s.add_visit();
-        s.record(5);
-        s.clear();
-        assert_eq!(s, Stats::new());
     }
 }

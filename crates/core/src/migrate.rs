@@ -14,7 +14,7 @@
 //! is exercised through event replay — exactly the "if the runtime
 //! provided the hooks" scenario of Section IV-D2.
 
-use crate::body::{Frame, TaskBody};
+use crate::body::Frame;
 use crate::profiler::ThreadProfile;
 use crate::snapshot::SnapNode;
 use crate::tree::NodeId;
@@ -57,12 +57,13 @@ impl ThreadProfile {
             TaskRef::Explicit(id),
             "cannot migrate the currently executing task"
         );
-        let inst = self
-            .instances_mut()
-            .remove(&id)
+        let slot = self
+            .slot_of(id)
+            .filter(|&s| !self.instance(s).shed)
             .expect("detach of unknown task instance");
+        let inst = self.instance(slot);
         assert!(inst.body.is_paused(), "detach of a running task instance");
-        let root = inst.body.root;
+        let (region, root) = (inst.region, inst.body.root);
         let tree = self.snap_public(root);
         let stack = inst
             .body
@@ -71,9 +72,10 @@ impl ThreadProfile {
             .map(|f| (self.path_from(root, f.node()), f.acc()))
             .collect();
         self.arena_mut().release_subtree(root);
+        self.release_slot(slot);
         self.dec_live_trees();
         DetachedInstance {
-            region: inst.region,
+            region,
             tree,
             stack,
         }
@@ -85,10 +87,7 @@ impl ThreadProfile {
     /// # Panics
     /// If `id` is already active on this thread.
     pub fn attach_instance(&mut self, id: TaskId, detached: DetachedInstance) {
-        assert!(
-            !self.instances_ref().contains_key(&id),
-            "attach over an active instance"
-        );
+        assert!(self.slot_of(id).is_none(), "attach over an active instance");
         let root = self.rebuild_tree(&detached.tree, None);
         let frames: Vec<Frame> = detached
             .stack
@@ -98,27 +97,24 @@ impl ThreadProfile {
                 Frame::rebuilt_paused(node, *acc)
             })
             .collect();
-        let body = TaskBody::from_paused_frames(root, frames);
-        self.insert_instance(id, detached.region, body);
+        let slot = self.alloc_slot(id, detached.region, false, root);
+        self.instance_mut(slot).body.restore_paused(frames);
         self.inc_live_trees();
     }
 
     /// Child-index path from `root` down to `node`.
     fn path_from(&self, root: NodeId, node: NodeId) -> Vec<usize> {
+        let arena = self.arena_ref();
         let mut rev = Vec::new();
         let mut cur = node;
         while cur != root {
-            let parent = self
-                .arena_ref()
+            let parent = arena
                 .node(cur)
                 .parent
                 .expect("frame node detached from instance root");
-            let idx = self
-                .arena_ref()
-                .node(parent)
-                .children
-                .iter()
-                .position(|&c| c == cur)
+            let idx = arena
+                .children(parent)
+                .position(|c| c == cur)
                 .expect("child link broken");
             rev.push(idx);
             cur = parent;
@@ -128,19 +124,26 @@ impl ThreadProfile {
     }
 
     fn resolve_path(&self, root: NodeId, path: &[usize]) -> NodeId {
-        let mut cur = root;
-        for &i in path {
-            cur = self.arena_ref().node(cur).children[i];
-        }
-        cur
+        let arena = self.arena_ref();
+        path.iter().fold(root, |cur, &i| {
+            arena
+                .children(cur)
+                .nth(i)
+                .expect("migrated path out of range")
+        })
     }
 
+    /// Rebuild a snapshot tree in this thread's arena. Sibling kinds are
+    /// unique, so `child_of` appends each child in snapshot order.
     fn rebuild_tree(&mut self, snap: &SnapNode, parent: Option<NodeId>) -> NodeId {
-        let id = self.arena_mut().alloc(snap.kind, parent);
-        self.arena_mut().node_mut(id).stats = snap.stats;
+        let arena = self.arena_mut();
+        let id = match parent {
+            None => arena.alloc(snap.kind, None),
+            Some(p) => arena.child_of(p, snap.kind),
+        };
+        arena.node_mut(id).stats = snap.stats;
         for c in &snap.children {
-            let child = self.rebuild_tree(c, Some(id));
-            self.arena_mut().node_mut(id).children.push(child);
+            self.rebuild_tree(c, Some(id));
         }
         id
     }

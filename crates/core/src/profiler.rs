@@ -4,10 +4,13 @@
 //!
 //! * the implicit task's call tree (the *main tree*, rooted at the parallel
 //!   region),
-//! * a table of *active* explicit task instances, each with a private,
+//! * a slab of *active* explicit task instances, each with a private,
 //!   detached instance tree and a frame stack whose timers stop across
-//!   suspension (paper Section IV-B3),
-//! * the *current task* pointer,
+//!   suspension (paper Section IV-B3); completed instances free their slot
+//!   and frame stack for the next one,
+//! * the *current task* pointer and its slot, so region events inside a
+//!   task index the slab directly (task ids are resolved to slots only
+//!   when a task begins, resumes, ends or migrates),
 //! * *stub nodes* under the implicit task's scheduling points recording the
 //!   time the thread spent executing task fragments there (Section IV-B4),
 //! * per-construct aggregate task trees, sitting beside the main tree, into
@@ -43,10 +46,18 @@ pub enum AssignPolicy {
     Creating,
 }
 
-/// An active explicit task instance (started but not completed).
+/// One slot of the per-thread instance table: an active explicit task
+/// instance (started but not completed), or a free slot awaiting reuse.
 #[derive(Debug)]
 pub(crate) struct Instance {
+    /// The occupying instance; `None` while the slot is free.
+    pub(crate) id: Option<TaskId>,
     pub(crate) region: RegionId,
+    /// Counting-only instance degraded by the live-tree cap: it has no
+    /// private tree, and its inner events are dropped.
+    pub(crate) shed: bool,
+    /// Frame stack and tree root. Kept across reuse of the slot, so the
+    /// stack's capacity is recycled with it.
     pub(crate) body: TaskBody,
 }
 
@@ -57,13 +68,26 @@ pub struct ThreadProfile {
     parallel_region: RegionId,
     root: NodeId,
     implicit: TaskBody,
-    instances: HashMap<TaskId, Instance>,
+    /// Instance slab: every active (live or shed) instance occupies one
+    /// slot. Slots are recycled through `free_slots`, so after warm-up
+    /// beginning an instance allocates nothing.
+    instances: Vec<Instance>,
+    free_slots: Vec<usize>,
     current: TaskRef,
+    /// Slot of `current` while it is an explicit task, so the
+    /// enter/exit/parameter path indexes the slab without a lookup.
+    cur_slot: usize,
+    /// Slot most recently switched away from: where the search for a
+    /// resumed instance starts (tied tasks resume in LIFO order, so the
+    /// target is almost always at or just below it).
+    resume_hint: usize,
     policy: AssignPolicy,
     /// Aggregate task-tree roots in order of first completion.
     task_roots: Vec<NodeId>,
-    /// Creation-site node per not-yet-started instance (used by the
-    /// `Creating` policy and pruned at task begin).
+    /// Creation-site node per not-yet-started instance, filled only under
+    /// the `Creating` policy (the only reader), consumed at task begin and
+    /// cleared at region end (instances executed by another thread never
+    /// begin here).
     creation_nodes: HashMap<TaskId, NodeId>,
     live_trees: usize,
     max_live_trees: usize,
@@ -74,9 +98,6 @@ pub struct ThreadProfile {
     /// Overload-shedding cap on concurrently live instance trees: beyond
     /// it, new instances degrade to counting-only (no private tree).
     max_live_limit: Option<usize>,
-    /// Currently live *shed* (counting-only) instances and their construct
-    /// regions. Disjoint from `instances`.
-    shed_live: HashMap<TaskId, RegionId>,
     /// Total instances shed so far (monotonic; shown in the profile).
     shed_total: u64,
     /// Self-healing diagnostics: anomalies the profiler repaired instead
@@ -106,8 +127,11 @@ impl ThreadProfile {
             parallel_region,
             root,
             implicit,
-            instances: HashMap::new(),
+            instances: Vec::new(),
+            free_slots: Vec::new(),
             current: TaskRef::Implicit,
+            cur_slot: 0,
+            resume_hint: 0,
             policy,
             task_roots: Vec::new(),
             creation_nodes: HashMap::new(),
@@ -115,7 +139,6 @@ impl ThreadProfile {
             max_live_trees: 0,
             max_depth: None,
             max_live_limit: None,
-            shed_live: HashMap::new(),
             shed_total: 0,
             diagnostics: Vec::new(),
             finished: false,
@@ -149,11 +172,6 @@ impl ThreadProfile {
     /// for a clean run). See [`ThreadProfile::finish`].
     pub fn diagnostics(&self) -> &[String] {
         &self.diagnostics
-    }
-
-    /// True when the current task is a shed (counting-only) instance.
-    fn current_is_shed(&self) -> bool {
-        matches!(self.current, TaskRef::Explicit(id) if self.shed_live.contains_key(&id))
     }
 
     /// The attribution policy in effect.
@@ -194,33 +212,34 @@ impl ThreadProfile {
         self.arena.capacity_nodes()
     }
 
-    #[inline]
-    fn enter_kind(&mut self, kind: NodeKind, t: u64) {
-        if self.current_is_shed() {
-            return; // counting-only: inner structure is dropped
-        }
-        let max_depth = self.max_depth;
-        match self.current {
-            TaskRef::Implicit => {
-                Self::enter_on(&mut self.arena, &mut self.implicit, kind, t, max_depth)
-            }
-            TaskRef::Explicit(id) => {
-                let inst = self
-                    .instances
-                    .get_mut(&id)
-                    .expect("enter on unknown task instance");
-                Self::enter_on(&mut self.arena, &mut inst.body, kind, t, max_depth)
-            }
-        }
+    /// High-water mark of instance-table slots: the most instances (live
+    /// or shed) that were ever active on this thread at once. Completed
+    /// instances free their slot, frame stack included, for reuse.
+    pub fn instance_slots(&self) -> usize {
+        self.instances.len()
     }
 
-    fn enter_on(
-        arena: &mut Arena,
-        body: &mut TaskBody,
-        kind: NodeKind,
-        t: u64,
-        max_depth: Option<usize>,
-    ) {
+    /// The body of the current task — `None` for a shed (counting-only)
+    /// instance, whose inner events are dropped — beside the arena, so
+    /// an event can update both.
+    #[inline]
+    fn current_body(&mut self) -> (Option<&mut TaskBody>, &mut Arena) {
+        let body = match self.current {
+            TaskRef::Implicit => Some(&mut self.implicit),
+            TaskRef::Explicit(_) => {
+                let inst = &mut self.instances[self.cur_slot];
+                (!inst.shed).then_some(&mut inst.body)
+            }
+        };
+        (body, &mut self.arena)
+    }
+
+    #[inline]
+    fn enter_kind(&mut self, kind: NodeKind, t: u64) {
+        let max_depth = self.max_depth;
+        let (Some(body), arena) = self.current_body() else {
+            return;
+        };
         let cur = body.current_node();
         let node = if max_depth.is_some_and(|d| body.depth() >= d) {
             // Collapse: alias all deeper frames onto one truncated node.
@@ -236,40 +255,22 @@ impl ThreadProfile {
         body.push(node, t);
     }
 
+    /// Close the current task's innermost frame at `t` and record its
+    /// duration. Returns the closed node, or `None` for a shed task.
     #[inline]
-    fn exit_kind(&mut self, kind: NodeKind, t: u64) {
-        if self.current_is_shed() {
-            return;
+    fn exit_frame(&mut self, t: u64) -> Option<NodeId> {
+        let (body, arena) = self.current_body();
+        let body = body?;
+        let (node, dur) = body.pop(t);
+        let aliased = body.current_node() == node;
+        let n = arena.node_mut(node);
+        // Aliased truncated frames: only the outermost records a sample,
+        // otherwise the collapsed node would double-count its own
+        // inclusive time.
+        if !(aliased && n.kind == NodeKind::Truncated) {
+            n.stats.record(dur);
         }
-        let (node, dur, after_top) = match self.current {
-            TaskRef::Implicit => {
-                let (n, d) = self.implicit.pop(t);
-                (n, d, self.implicit.current_node())
-            }
-            TaskRef::Explicit(id) => {
-                let inst = self
-                    .instances
-                    .get_mut(&id)
-                    .expect("exit on unknown task instance");
-                let (n, d) = inst.pop_frame(t);
-                (n, d, inst.body.current_node())
-            }
-        };
-        if self.arena.node(node).kind == NodeKind::Truncated {
-            // Aliased truncated frames: only the outermost records a
-            // sample, otherwise the collapsed node would double-count
-            // its own inclusive time.
-            if after_top != node {
-                self.arena.node_mut(node).stats.record(dur);
-            }
-            return;
-        }
-        debug_assert_eq!(
-            self.arena.node(node).kind,
-            kind,
-            "exit event does not match innermost open region"
-        );
-        self.arena.node_mut(node).stats.record(dur);
+        Some(node)
     }
 
     /// Region enter event on the current task.
@@ -279,7 +280,13 @@ impl ThreadProfile {
 
     /// Region exit event on the current task.
     pub fn exit(&mut self, region: RegionId, t: u64) {
-        self.exit_kind(NodeKind::Region(region), t);
+        if let Some(node) = self.exit_frame(t) {
+            debug_assert!(
+                matches!(self.arena.node(node).kind, NodeKind::Truncated)
+                    || self.arena.node(node).kind == NodeKind::Region(region),
+                "exit event does not match innermost open region"
+            );
+        }
     }
 
     /// Enter a parameter scope (paper Section VI): children recorded under
@@ -290,38 +297,20 @@ impl ThreadProfile {
 
     /// Leave the innermost parameter scope.
     pub fn parameter_end(&mut self, param: ParamId, t: u64) {
-        if self.current_is_shed() {
-            return;
+        if let Some(node) = self.exit_frame(t) {
+            debug_assert!(
+                match self.arena.node(node).kind {
+                    NodeKind::Truncated => true,
+                    NodeKind::Param(p, _) => p == param,
+                    _ => false,
+                },
+                "parameter_end does not match innermost open scope"
+            );
         }
-        let (node, dur, after_top) = match self.current {
-            TaskRef::Implicit => {
-                let (n, d) = self.implicit.pop(t);
-                (n, d, self.implicit.current_node())
-            }
-            TaskRef::Explicit(id) => {
-                let inst = self
-                    .instances
-                    .get_mut(&id)
-                    .expect("parameter_end on unknown task instance");
-                let (n, d) = inst.pop_frame(t);
-                (n, d, inst.body.current_node())
-            }
-        };
-        if self.arena.node(node).kind == NodeKind::Truncated {
-            if after_top != node {
-                self.arena.node_mut(node).stats.record(dur);
-            }
-            return;
-        }
-        debug_assert!(
-            matches!(self.arena.node(node).kind, NodeKind::Param(p, _) if p == param),
-            "parameter_end does not match innermost open scope"
-        );
-        self.arena.node_mut(node).stats.record(dur);
     }
 
-    /// Task creation begins: enter the creation region and remember the
-    /// creation site of `new_task`.
+    /// Task creation begins: enter the creation region and, under the
+    /// `Creating` policy, remember the creation site of `new_task`.
     pub fn task_create_begin(
         &mut self,
         create_region: RegionId,
@@ -330,19 +319,75 @@ impl ThreadProfile {
         t: u64,
     ) {
         self.enter(create_region, t);
-        if self.current_is_shed() {
-            return; // no creation site to remember: the creator has no tree
+        if self.policy != AssignPolicy::Creating {
+            return;
         }
-        let site = match self.current {
-            TaskRef::Implicit => self.implicit.current_node(),
-            TaskRef::Explicit(id) => self.instances[&id].body.current_node(),
-        };
-        self.creation_nodes.insert(new_task, site);
+        // A shed creator has no tree, so no creation site to remember.
+        if let Some(site) = self.current_body().0.map(|b| b.current_node()) {
+            self.creation_nodes.insert(new_task, site);
+        }
     }
 
     /// Task creation finished.
     pub fn task_create_end(&mut self, create_region: RegionId, _new_task: TaskId, t: u64) {
         self.exit(create_region, t);
+    }
+
+    /// The slot of active instance `id`. Searches downward from the slot
+    /// most recently switched away from, then the remaining slots above
+    /// it: tied tasks resume in LIFO order, so this is usually one or two
+    /// probes.
+    pub(crate) fn slot_of(&self, id: TaskId) -> Option<usize> {
+        let split = (self.resume_hint + 1).min(self.instances.len());
+        let below = (0..split).rev();
+        let above = (split..self.instances.len()).rev();
+        below
+            .chain(above)
+            .find(|&s| self.instances[s].id == Some(id))
+    }
+
+    /// Occupy a free slot (or grow the slab) with instance `id`, its body
+    /// positioned at `root`.
+    pub(crate) fn alloc_slot(
+        &mut self,
+        id: TaskId,
+        region: RegionId,
+        shed: bool,
+        root: NodeId,
+    ) -> usize {
+        match self.free_slots.pop() {
+            Some(slot) => {
+                let inst = &mut self.instances[slot];
+                inst.id = Some(id);
+                inst.region = region;
+                inst.shed = shed;
+                inst.body.reset(root);
+                slot
+            }
+            None => {
+                self.instances.push(Instance {
+                    id: Some(id),
+                    region,
+                    shed,
+                    body: TaskBody::new(root),
+                });
+                self.instances.len() - 1
+            }
+        }
+    }
+
+    /// Free `slot` for reuse; its frame stack keeps its capacity.
+    pub(crate) fn release_slot(&mut self, slot: usize) {
+        self.instances[slot].id = None;
+        self.free_slots.push(slot);
+    }
+
+    pub(crate) fn instance(&self, slot: usize) -> &Instance {
+        &self.instances[slot]
+    }
+
+    pub(crate) fn instance_mut(&mut self, slot: usize) -> &mut Instance {
+        &mut self.instances[slot]
     }
 
     /// `TaskSwitch` (paper Fig. 12): the thread's current task changes to
@@ -352,15 +397,23 @@ impl ThreadProfile {
         if self.current == resumed {
             return;
         }
+        let slot = match resumed {
+            TaskRef::Implicit => 0,
+            TaskRef::Explicit(id) => self.slot_of(id).expect("switch to unknown task instance"),
+        };
+        self.switch_to(resumed, slot, t);
+    }
+
+    /// [`ThreadProfile::task_switch`] with the target's slot already
+    /// resolved (`slot` is ignored when resuming the implicit task).
+    fn switch_to(&mut self, resumed: TaskRef, slot: usize, t: u64) {
         // "if current task is an explicit task { Exit(implicit, root region
         // of current task); stop time measurement on all open regions }"
         // Shed (counting-only) instances have no body and no stub frame.
-        if let TaskRef::Explicit(id) = self.current {
-            if !self.shed_live.contains_key(&id) {
-                let inst = self
-                    .instances
-                    .get_mut(&id)
-                    .expect("switch away from unknown task instance");
+        if let TaskRef::Explicit(_) = self.current {
+            self.resume_hint = self.cur_slot;
+            let inst = &mut self.instances[self.cur_slot];
+            if !inst.shed {
                 inst.body.pause(t);
                 if self.policy == AssignPolicy::Executing {
                     let (node, dur) = self.implicit.pop(t);
@@ -375,20 +428,17 @@ impl ThreadProfile {
         self.current = resumed;
         // "if task instance is an explicit task { resume time measurement;
         // Enter(implicit, root region of task instance) }"
-        if let TaskRef::Explicit(id) = resumed {
-            if !self.shed_live.contains_key(&id) {
-                let inst = self
-                    .instances
-                    .get_mut(&id)
-                    .expect("switch to unknown task instance");
+        if let TaskRef::Explicit(_) = resumed {
+            self.cur_slot = slot;
+            let inst = &mut self.instances[slot];
+            if !inst.shed {
                 if inst.body.is_paused() {
                     inst.body.resume(t);
                 }
                 if self.policy == AssignPolicy::Executing {
-                    let region = inst.region;
                     let stub = self
                         .arena
-                        .child_of(self.implicit.current_node(), NodeKind::Stub(region));
+                        .child_of(self.implicit.current_node(), NodeKind::Stub(inst.region));
                     self.arena.node_mut(stub).stats.add_visit();
                     self.implicit.push(stub, t);
                 }
@@ -400,10 +450,11 @@ impl ThreadProfile {
     /// `id` of construct `task_region`. Creates the instance-specific data,
     /// switches to the instance, and enters its root region.
     pub fn task_begin(&mut self, task_region: RegionId, id: TaskId, t: u64) {
-        debug_assert!(
-            !self.instances.contains_key(&id),
-            "task instance began twice"
-        );
+        debug_assert!(self.slot_of(id).is_none(), "task instance began twice");
+        let creation_site = match self.policy {
+            AssignPolicy::Creating => self.creation_nodes.remove(&id),
+            AssignPolicy::Executing => None,
+        };
         if self.max_live_limit.is_some_and(|cap| self.live_trees >= cap) {
             // Overload shedding: the cap on concurrently live instance
             // trees is reached. Degrade this instance to counting-only —
@@ -411,11 +462,10 @@ impl ThreadProfile {
             // keeps referring to it), but gets no private tree, and only
             // its existence reaches the aggregate tree.
             self.shed_total += 1;
-            self.shed_live.insert(id, task_region);
             let agg = self.aggregate_root(task_region);
             self.arena.node_mut(agg).stats.add_visit();
-            self.task_switch(TaskRef::Explicit(id), t);
-            self.creation_nodes.remove(&id);
+            let slot = self.alloc_slot(id, task_region, true, agg);
+            self.switch_to(TaskRef::Explicit(id), slot, t);
             return;
         }
         let root = match self.policy {
@@ -427,27 +477,16 @@ impl ThreadProfile {
                 // Hang the instance under the node where it was created
                 // (falling back to the implicit task's position for
                 // instances whose creation was not observed).
-                let parent = self
-                    .creation_nodes
-                    .get(&id)
-                    .copied()
-                    .unwrap_or_else(|| self.implicit.current_node());
+                let parent = creation_site.unwrap_or_else(|| self.implicit.current_node());
                 self.arena.child_of(parent, NodeKind::Region(task_region))
             }
         };
-        self.instances.insert(
-            id,
-            Instance {
-                region: task_region,
-                body: TaskBody::new(root),
-            },
-        );
+        let slot = self.alloc_slot(id, task_region, false, root);
         self.live_trees += 1;
         self.max_live_trees = self.max_live_trees.max(self.live_trees);
-        self.task_switch(TaskRef::Explicit(id), t);
-        let inst = self.instances.get_mut(&id).expect("just inserted");
+        self.switch_to(TaskRef::Explicit(id), slot, t);
         self.arena.node_mut(root).stats.add_visit();
-        inst.body.push(root, t);
+        self.instances[slot].body.push(root, t);
     }
 
     /// `TaskEnd` (paper Fig. 12): instance `id` completed. Exits its root
@@ -460,27 +499,34 @@ impl ThreadProfile {
             TaskRef::Explicit(id),
             "task_end for a task that is not current"
         );
-        if self.shed_live.contains_key(&id) {
-            self.end_shed(id, t, false);
+        let slot = self.cur_slot;
+        if self.instances[slot].shed {
+            self.end_shed(slot, t, false);
             return;
         }
         // Exit(task instance, task region)
-        let inst = self.instances.get_mut(&id).expect("unknown task instance");
+        let inst = &mut self.instances[slot];
         debug_assert_eq!(inst.region, task_region);
+        let root = inst.body.root;
         let (node, dur) = inst.body.pop(t);
-        debug_assert_eq!(node, inst.body.root, "task ended with open inner regions");
+        debug_assert_eq!(node, root, "task ended with open inner regions");
         debug_assert_eq!(inst.body.depth(), 0, "task ended with open inner regions");
         self.arena.node_mut(node).stats.record(dur);
         // TaskSwitch(implicit task)
-        self.task_switch(TaskRef::Implicit, t);
+        self.switch_to(TaskRef::Implicit, 0, t);
         // Merge task tree into the global profile of the thread.
-        let inst = self.instances.remove(&id).expect("unknown task instance");
+        self.retire(slot, task_region, root);
+    }
+
+    /// Merge a completed (or aborted) instance tree into its aggregate
+    /// task tree and free its slot.
+    fn retire(&mut self, slot: usize, task_region: RegionId, root: NodeId) {
         if self.policy == AssignPolicy::Executing {
             let agg = self.aggregate_root(task_region);
-            self.arena.merge_into(inst.body.root, agg);
+            self.arena.merge_into(root, agg);
         }
+        self.release_slot(slot);
         self.live_trees -= 1;
-        self.creation_nodes.remove(&id);
     }
 
     /// `TaskAbort`: instance `id` died mid-execution (its body panicked,
@@ -491,66 +537,48 @@ impl ThreadProfile {
     /// merged into the aggregate task tree. The thread resumes the
     /// implicit task, exactly as after a normal `task_end`.
     pub fn task_abort(&mut self, task_region: RegionId, id: TaskId, t: u64) {
-        if self.shed_live.contains_key(&id) {
-            if self.current != TaskRef::Explicit(id) {
-                self.task_switch(TaskRef::Explicit(id), t);
-            }
-            self.end_shed(id, t, true);
-            return;
-        }
         // Robustness: the abort may arrive for a *suspended* instance
         // (forced closure at region end). Resume it first so the stub
         // accounting in the implicit tree stays balanced.
-        if self.current != TaskRef::Explicit(id) {
-            self.task_switch(TaskRef::Explicit(id), t);
+        let slot = if self.current == TaskRef::Explicit(id) {
+            self.cur_slot
+        } else {
+            let slot = self.slot_of(id).expect("abort of unknown task instance");
+            self.switch_to(TaskRef::Explicit(id), slot, t);
+            slot
+        };
+        if self.instances[slot].shed {
+            self.end_shed(slot, t, true);
+            return;
         }
-        let inst = self
-            .instances
-            .get_mut(&id)
-            .expect("abort of unknown task instance");
+        let inst = &mut self.instances[slot];
         debug_assert_eq!(inst.region, task_region);
         let root = inst.body.root;
-        let mut closed = Vec::with_capacity(inst.body.depth());
         while inst.body.depth() > 0 {
             let (node, dur) = inst.body.pop(t);
             // Aliased <truncated> frames: record the outermost only (the
-            // same double-count guard exit_kind applies).
+            // same double-count guard exit_frame applies).
             let aliased = inst.body.current_node() == node;
-            closed.push((node, dur, aliased));
-        }
-        for (node, dur, aliased) in closed {
-            if aliased && self.arena.node(node).kind == NodeKind::Truncated {
-                continue;
+            if !(aliased && self.arena.node(node).kind == NodeKind::Truncated) {
+                self.arena.node_mut(node).stats.record(dur);
             }
-            self.arena.node_mut(node).stats.record(dur);
         }
         self.arena.node_mut(root).stats.record_abort();
-        self.task_switch(TaskRef::Implicit, t);
-        let inst = self.instances.remove(&id).expect("unknown task instance");
-        if self.policy == AssignPolicy::Executing {
-            let agg = self.aggregate_root(task_region);
-            self.arena.merge_into(inst.body.root, agg);
-        }
-        self.live_trees -= 1;
-        self.creation_nodes.remove(&id);
+        self.switch_to(TaskRef::Implicit, 0, t);
+        self.retire(slot, task_region, root);
     }
 
-    /// Complete a shed (counting-only) instance: no tree to merge, just
-    /// bookkeeping — and an abort tag on the aggregate root if it died.
-    fn end_shed(&mut self, id: TaskId, t: u64, aborted: bool) {
-        debug_assert_eq!(
-            self.current,
-            TaskRef::Explicit(id),
-            "shed instance ended while not current"
-        );
+    /// Complete the current, shed (counting-only) instance in `slot`: no
+    /// tree to merge, just bookkeeping — and an abort tag on the
+    /// aggregate root if it died.
+    fn end_shed(&mut self, slot: usize, t: u64, aborted: bool) {
         if aborted {
-            let region = self.shed_live[&id];
+            let region = self.instances[slot].region;
             let agg = self.aggregate_root(region);
             self.arena.node_mut(agg).stats.record_abort();
         }
-        self.task_switch(TaskRef::Implicit, t);
-        self.shed_live.remove(&id);
-        self.creation_nodes.remove(&id);
+        self.switch_to(TaskRef::Implicit, 0, t);
+        self.release_slot(slot);
     }
 
     fn aggregate_root(&mut self, region: RegionId) -> NodeId {
@@ -583,38 +611,29 @@ impl ThreadProfile {
                 "region ended while task instance {} was still executing; force-closed as aborted",
                 id.get()
             ));
-            let region = self.instance_region(id);
+            let region = self.instances[self.cur_slot].region;
             self.task_abort(region, id, t);
         }
-        let mut leftover: Vec<TaskId> = self
+        let mut leftover: Vec<(TaskId, RegionId)> = self
             .instances
-            .keys()
-            .chain(self.shed_live.keys())
-            .copied()
+            .iter()
+            .filter_map(|inst| inst.id.map(|id| (id, inst.region)))
             .collect();
-        leftover.sort();
-        for id in leftover {
+        leftover.sort_by_key(|&(id, _)| id);
+        for (id, region) in leftover {
             self.diagnostics.push(format!(
                 "region ended with suspended task instance {}; force-closed as aborted",
                 id.get()
             ));
-            let region = self.instance_region(id);
             self.task_abort(region, id, t);
         }
         while self.implicit.depth() > 0 {
             let (node, dur) = self.implicit.pop(t);
             self.arena.node_mut(node).stats.record(dur);
         }
+        // Sites of instances that began on another thread (or never).
+        self.creation_nodes.clear();
         self.finished = true;
-    }
-
-    /// The construct region of an active (live or shed) instance.
-    fn instance_region(&self, id: TaskId) -> RegionId {
-        self.instances
-            .get(&id)
-            .map(|i| i.region)
-            .or_else(|| self.shed_live.get(&id).copied())
-            .expect("active instance without a region")
     }
 
     /// True once [`ThreadProfile::finish`] ran.
@@ -630,14 +649,6 @@ impl ThreadProfile {
     }
 
     // Crate-internal access for the migration module (see `migrate.rs`).
-    pub(crate) fn instances_mut(&mut self) -> &mut HashMap<TaskId, Instance> {
-        &mut self.instances
-    }
-
-    pub(crate) fn instances_ref(&self) -> &HashMap<TaskId, Instance> {
-        &self.instances
-    }
-
     pub(crate) fn arena_mut(&mut self) -> &mut Arena {
         &mut self.arena
     }
@@ -659,16 +670,12 @@ impl ThreadProfile {
         self.max_live_trees = self.max_live_trees.max(self.live_trees);
     }
 
-    pub(crate) fn insert_instance(&mut self, id: TaskId, region: RegionId, body: TaskBody) {
-        self.instances.insert(id, Instance { region, body });
-    }
-
     fn snap(&self, node: NodeId) -> SnapNode {
         let n = self.arena.node(node);
         SnapNode {
             kind: n.kind,
             stats: n.stats,
-            children: n.children.iter().map(|&c| self.snap(c)).collect(),
+            children: self.arena.children(node).map(|c| self.snap(c)).collect(),
         }
     }
 
@@ -687,12 +694,6 @@ impl ThreadProfile {
             shed_instances: self.shed_total,
             diagnostics: self.diagnostics.clone(),
         }
-    }
-}
-
-impl Instance {
-    fn pop_frame(&mut self, t: u64) -> (NodeId, u64) {
-        self.body.pop(t)
     }
 }
 
@@ -855,25 +856,67 @@ mod tests {
         let mut p = ThreadProfile::new(rid(PAR), 0, AssignPolicy::Executing);
         p.enter(rid(BARRIER), 0);
         let mut t = 1u64;
-        let mut watermark_after_first = 0;
+        let mut watermark_after_first = (0, 0, 0);
+        let frame_capacity = |p: &ThreadProfile| {
+            p.instances
+                .iter()
+                .map(|i| i.body.frame_capacity())
+                .sum::<usize>()
+        };
         for k in 0..100 {
             let id = ids.alloc();
             p.task_begin(rid(TASK_A), id, t);
             p.enter(rid(FOO), t + 1);
+            p.enter(rid(TASKWAIT), t + 1);
+            p.exit(rid(TASKWAIT), t + 2);
             p.exit(rid(FOO), t + 2);
             p.task_end(rid(TASK_A), id, t + 3);
             t += 10;
             if k == 0 {
-                watermark_after_first = p.arena_capacity();
+                watermark_after_first =
+                    (p.arena_capacity(), p.instance_slots(), frame_capacity(&p));
             }
         }
-        // Sequential instances must not grow the arena: every instance tree
-        // is released and its nodes reused (paper Section V-B).
-        assert_eq!(p.arena_capacity(), watermark_after_first);
+        // Sequential instances must not grow the arena, the instance
+        // table or any frame stack: every instance tree is released and its
+        // nodes reused (paper Section V-B), and so are its slot and frames.
+        assert_eq!(
+            (p.arena_capacity(), p.instance_slots(), frame_capacity(&p)),
+            watermark_after_first
+        );
         p.exit(rid(BARRIER), t);
         p.finish(t + 1);
         let s = p.snapshot(0);
         assert_eq!(s.task_trees[0].stats.visits, 100);
+    }
+
+    #[test]
+    fn creation_sites_do_not_outlive_the_region() {
+        // Thread 0 creates every task and thread 1 executes them all, so
+        // the creator never sees those instances begin.
+        for policy in [AssignPolicy::Executing, AssignPolicy::Creating] {
+            let ids = TaskIdAllocator::new();
+            let mut creator = ThreadProfile::new(rid(PAR), 0, policy);
+            let mut executor = ThreadProfile::new(rid(PAR), 0, policy);
+            executor.enter(rid(BARRIER), 0);
+            let mut t = 1u64;
+            for _ in 0..5 {
+                let id = ids.alloc();
+                creator.task_create_begin(rid(CREATE_A), rid(TASK_A), id, t);
+                creator.task_create_end(rid(CREATE_A), id, t + 1);
+                executor.task_begin(rid(TASK_A), id, t + 2);
+                executor.task_end(rid(TASK_A), id, t + 3);
+                t += 5;
+            }
+            // Only the `Creating` policy reads creation sites.
+            let expected = usize::from(policy == AssignPolicy::Creating) * 5;
+            assert_eq!(creator.creation_nodes.len(), expected, "{policy:?}");
+            executor.exit(rid(BARRIER), t);
+            creator.finish(t);
+            executor.finish(t);
+            assert!(creator.creation_nodes.is_empty(), "{policy:?}");
+            assert!(executor.creation_nodes.is_empty(), "{policy:?}");
+        }
     }
 
     #[test]

@@ -40,6 +40,10 @@ pub enum NodeKind {
 }
 
 /// One call-tree node.
+///
+/// Children are linked inside the arena (first child / next sibling), so
+/// a node owns no heap storage of its own and a recycled slot is reused
+/// without allocating.
 #[derive(Debug)]
 pub struct Node {
     /// Node identity used for child lookup during profiling and merging.
@@ -47,11 +51,30 @@ pub struct Node {
     /// Parent node; `None` for roots (the main root, detached instance
     /// roots, and aggregated task-tree roots).
     pub parent: Option<NodeId>,
-    /// Children in creation order. Fan-out in task profiles is small, so
-    /// lookup is a linear scan.
-    pub children: Vec<NodeId>,
+    /// First child in creation order.
+    first_child: Option<NodeId>,
+    /// Next sibling in creation order.
+    next_sibling: Option<NodeId>,
     /// Metric statistics.
     pub stats: Stats,
+}
+
+/// Iterator over a node's children in creation order
+/// ([`Arena::children`]).
+pub struct Children<'a> {
+    arena: &'a Arena,
+    next: Option<NodeId>,
+}
+
+impl Iterator for Children<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        let c = self.next?;
+        self.next = self.arena.nodes[c.index()].next_sibling;
+        Some(c)
+    }
 }
 
 /// Arena of call-tree nodes with a free list.
@@ -121,21 +144,19 @@ impl Arena {
         if !self.reuse {
             self.free.clear();
         }
+        let fresh = Node {
+            kind,
+            parent,
+            first_child: None,
+            next_sibling: None,
+            stats: Stats::new(),
+        };
         if let Some(id) = self.free.pop() {
-            let n = &mut self.nodes[id.index()];
-            n.kind = kind;
-            n.parent = parent;
-            n.children.clear();
-            n.stats.clear();
+            self.nodes[id.index()] = fresh;
             id
         } else {
             let id = NodeId(u32::try_from(self.nodes.len()).expect("arena overflow"));
-            self.nodes.push(Node {
-                kind,
-                parent,
-                children: Vec::new(),
-                stats: Stats::new(),
-            });
+            self.nodes.push(fresh);
             id
         }
     }
@@ -152,28 +173,42 @@ impl Arena {
         &mut self.nodes[id.index()]
     }
 
+    /// The children of `parent` in creation order.
+    #[inline]
+    pub fn children(&self, parent: NodeId) -> Children<'_> {
+        Children {
+            arena: self,
+            next: self.nodes[parent.index()].first_child,
+        }
+    }
+
     /// Find the child of `parent` with identity `kind`, creating it if
     /// absent. This is the per-enter-event lookup of the Score-P profiling
-    /// algorithm (paper Section IV-A).
+    /// algorithm (paper Section IV-A). Fan-out in task profiles is small,
+    /// so lookup is a linear walk of the sibling links; a new child is
+    /// linked after the last one, keeping creation order.
     pub fn child_of(&mut self, parent: NodeId, kind: NodeKind) -> NodeId {
-        if let Some(&c) = self.nodes[parent.index()]
-            .children
-            .iter()
-            .find(|&&c| self.nodes[c.index()].kind == kind)
-        {
-            return c;
+        let mut last = None;
+        let mut cur = self.nodes[parent.index()].first_child;
+        while let Some(c) = cur {
+            let n = &self.nodes[c.index()];
+            if n.kind == kind {
+                return c;
+            }
+            last = cur;
+            cur = n.next_sibling;
         }
         let c = self.alloc(kind, Some(parent));
-        self.nodes[parent.index()].children.push(c);
+        match last {
+            Some(l) => self.nodes[l.index()].next_sibling = Some(c),
+            None => self.nodes[parent.index()].first_child = Some(c),
+        }
         c
     }
 
     /// Find an existing child without creating.
     pub fn find_child(&self, parent: NodeId, kind: NodeKind) -> Option<NodeId> {
-        self.nodes[parent.index()]
-            .children
-            .iter()
-            .copied()
+        self.children(parent)
             .find(|&c| self.nodes[c.index()].kind == kind)
     }
 
@@ -186,14 +221,17 @@ impl Arena {
     /// global profile of thread" with node reuse.
     pub fn merge_into(&mut self, src: NodeId, dst: NodeId) {
         debug_assert_ne!(src, dst);
-        let src_stats = self.nodes[src.index()].stats;
+        let src_node = &self.nodes[src.index()];
+        let (src_stats, mut cur) = (src_node.stats, src_node.first_child);
         self.nodes[dst.index()].stats.merge(&src_stats);
-        // Take the child list to avoid aliasing while we recurse.
-        let children = std::mem::take(&mut self.nodes[src.index()].children);
-        for child in children {
-            let kind = self.nodes[child.index()].kind;
+        while let Some(child) = cur {
+            // Read the link before the child is released (and possibly
+            // reused by an allocation further down this merge).
+            let n = &self.nodes[child.index()];
+            let (kind, next) = (n.kind, n.next_sibling);
             let dst_child = self.child_of(dst, kind);
             self.merge_into(child, dst_child);
+            cur = next;
         }
         self.free.push(src);
     }
@@ -201,8 +239,9 @@ impl Arena {
     /// Release a whole subtree (used when a profile is torn down without
     /// merging, e.g. on abandoned replay state).
     pub fn release_subtree(&mut self, root: NodeId) {
-        let children = std::mem::take(&mut self.nodes[root.index()].children);
-        for c in children {
+        let mut cur = self.nodes[root.index()].first_child;
+        while let Some(c) = cur {
+            cur = self.nodes[c.index()].next_sibling;
             self.release_subtree(c);
         }
         self.free.push(root);
@@ -211,10 +250,8 @@ impl Arena {
     /// Sum of the inclusive-time sums of `node`'s children — the subtrahend
     /// of the exclusive-time computation.
     pub fn children_sum_ns(&self, node: NodeId) -> u64 {
-        self.nodes[node.index()]
-            .children
-            .iter()
-            .map(|&c| self.nodes[c.index()].stats.sum_ns)
+        self.children(node)
+            .map(|c| self.nodes[c.index()].stats.sum_ns)
             .sum()
     }
 
@@ -227,10 +264,9 @@ impl Arena {
 
     /// Number of nodes in the subtree rooted at `root` (including it).
     pub fn subtree_size(&self, root: NodeId) -> usize {
-        1 + self.nodes[root.index()]
-            .children
-            .iter()
-            .map(|&c| self.subtree_size(c))
+        1 + self
+            .children(root)
+            .map(|c| self.subtree_size(c))
             .sum::<usize>()
     }
 }
@@ -252,7 +288,7 @@ mod tests {
         assert_eq!(c1, c2);
         let c3 = a.child_of(root, NodeKind::Region(rid(2)));
         assert_ne!(c1, c3);
-        assert_eq!(a.node(root).children.len(), 2);
+        assert_eq!(a.children(root).count(), 2);
         assert_eq!(a.node(c1).parent, Some(root));
     }
 
@@ -318,7 +354,7 @@ mod tests {
         assert_eq!(a.live_nodes(), 2);
         // Reused nodes are fully reset.
         assert_eq!(a.node(r2).stats, Stats::new());
-        assert_eq!(a.node(r2).children, vec![c2]);
+        assert_eq!(a.children(r2).collect::<Vec<_>>(), vec![c2]);
         assert!([r1, c1].contains(&r2) && [r1, c1].contains(&c2));
     }
 

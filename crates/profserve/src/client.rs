@@ -301,7 +301,7 @@ impl Client {
             .write_all(&opening)
             .and_then(|()| client.writer.flush())
             .map_err(|e| Handshake::Refused(ClientError::Io(e)))?;
-        match client.read_response_binary() {
+        match client.read_handshake_response() {
             Ok(Response::Hello { version, features }) => {
                 if version != wire::WIRE_VERSION {
                     return Err(Handshake::Refused(ClientError::Protocol(format!(
@@ -371,30 +371,53 @@ impl Client {
         Response::from_json_line(line.trim_end()).map_err(ClientError::Protocol)
     }
 
-    /// Read one binary response frame. A leading `{` means the server
-    /// answered in JSON despite the binary handshake — the shed path
-    /// writes its `overloaded` line before sniffing — so parse that line
-    /// and surface whatever it says.
+    /// Read one binary response frame. Once the handshake is over the
+    /// server only ever sends frames, so the bytes are never sniffed:
+    /// a frame whose length happens to start with `{` (123, 379, …
+    /// bytes) is still a frame.
     fn read_response_binary(&mut self) -> Result<Response, ClientError> {
-        let first = {
-            let buf = self.reader.fill_buf()?;
-            if buf.is_empty() {
-                return Err(ClientError::Protocol(
-                    "connection closed before response".to_string(),
-                ));
-            }
-            buf[0]
-        };
-        if first == b'{' {
-            return match self.read_response_json()? {
+        let head = self.read_frame_head()?;
+        self.read_frame_rest(head)
+    }
+
+    /// Read the server's answer to the TPF1 opening. Before its first
+    /// frame the server may still answer with a JSON line: the
+    /// `overloaded` line written at accept, or the refusal of the magic
+    /// under `--proto json`. Such a line surfaces as a typed
+    /// [`ClientError::Server`]. It is told apart from a frame by the
+    /// length it would decode to: a line opens with `{` and three more
+    /// printable bytes, far beyond the response cap no frame exceeds.
+    fn read_handshake_response(&mut self) -> Result<Response, ClientError> {
+        let head = self.read_frame_head()?;
+        if head[0] == b'{' && u32::from_le_bytes(head) as usize > wire::MAX_RESPONSE_BYTES {
+            let mut line = String::from_utf8_lossy(&head).into_owned();
+            self.reader.read_line(&mut line)?;
+            return match Response::from_json_line(line.trim_end())
+                .map_err(ClientError::Protocol)?
+            {
                 Response::Error { kind, message } => Err(ClientError::Server { kind, message }),
                 other => Err(ClientError::Protocol(format!(
                     "json response on a binary connection: {other:?}"
                 ))),
             };
         }
+        self.read_frame_rest(head)
+    }
+
+    /// The u32le length word that opens a frame.
+    fn read_frame_head(&mut self) -> Result<[u8; 4], ClientError> {
+        if self.reader.fill_buf()?.is_empty() {
+            return Err(ClientError::Protocol(
+                "connection closed before response".to_string(),
+            ));
+        }
         let mut head = [0u8; 4];
         self.reader.read_exact(&mut head)?;
+        Ok(head)
+    }
+
+    /// Payload and CRC of a frame whose length word was `head`.
+    fn read_frame_rest(&mut self, head: [u8; 4]) -> Result<Response, ClientError> {
         let len = u32::from_le_bytes(head) as usize;
         if len > wire::MAX_RESPONSE_BYTES {
             return Err(ClientError::Protocol(format!(

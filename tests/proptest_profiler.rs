@@ -3,11 +3,13 @@
 //! The plan generator and event emitter live in `test_util::body` (they
 //! are shared with the golden-profile tests); this suite replays the
 //! generated executions through the profiler under virtual time and
-//! checks the invariants the paper's algorithm promises.
+//! checks the invariants the paper's algorithm promises. The call-tree
+//! arena itself is checked against a naive model with `Vec` children.
 
-use pomp::TaskIdAllocator;
+use pomp::{ParamId, RegionId, TaskIdAllocator};
 use proptest::prelude::*;
-use taskprof::{AssignPolicy, Event, NodeKind, Replayer, ThreadSnapshot};
+use taskprof::tree::{Arena, NodeId};
+use taskprof::{AssignPolicy, Event, NodeKind, Replayer, Stats, ThreadProfile, ThreadSnapshot};
 use test_util::body::{body_strategy, emit, subtree_ok, Body, BARRIER, PAR};
 
 struct Run {
@@ -125,4 +127,235 @@ proptest! {
         let nested = cube::merge_nodes(&[&runs[0].main, &bc]);
         prop_assert_eq!(all, nested);
     }
+}
+
+/// The arena as it is specified: every node owns a `Vec` of its children
+/// in creation order, released nodes go onto a LIFO free list.
+#[derive(Default)]
+struct ModelArena {
+    nodes: Vec<ModelNode>,
+    free: Vec<usize>,
+}
+
+struct ModelNode {
+    kind: NodeKind,
+    parent: Option<usize>,
+    children: Vec<usize>,
+    stats: Stats,
+}
+
+impl ModelArena {
+    fn alloc(&mut self, kind: NodeKind, parent: Option<usize>) -> usize {
+        let node = ModelNode {
+            kind,
+            parent,
+            children: Vec::new(),
+            stats: Stats::new(),
+        };
+        match self.free.pop() {
+            Some(i) => {
+                self.nodes[i] = node;
+                i
+            }
+            None => {
+                self.nodes.push(node);
+                self.nodes.len() - 1
+            }
+        }
+    }
+
+    fn child_of(&mut self, parent: usize, kind: NodeKind) -> usize {
+        let children = &self.nodes[parent].children;
+        if let Some(&c) = children.iter().find(|&&c| self.nodes[c].kind == kind) {
+            return c;
+        }
+        let c = self.alloc(kind, Some(parent));
+        self.nodes[parent].children.push(c);
+        c
+    }
+
+    fn merge_into(&mut self, src: usize, dst: usize) {
+        let stats = self.nodes[src].stats;
+        self.nodes[dst].stats.merge(&stats);
+        for child in std::mem::take(&mut self.nodes[src].children) {
+            let dst_child = self.child_of(dst, self.nodes[child].kind);
+            self.merge_into(child, dst_child);
+        }
+        self.free.push(src);
+    }
+
+    fn release_subtree(&mut self, root: usize) {
+        for c in std::mem::take(&mut self.nodes[root].children) {
+            self.release_subtree(c);
+        }
+        self.free.push(root);
+    }
+
+    fn preorder(&self, root: usize, out: &mut Vec<usize>) {
+        out.push(root);
+        for &c in &self.nodes[root].children {
+            self.preorder(c, out);
+        }
+    }
+}
+
+const MODEL_KINDS: [NodeKind; 6] = [
+    NodeKind::Region(RegionId(1)),
+    NodeKind::Region(RegionId(2)),
+    NodeKind::Region(RegionId(3)),
+    NodeKind::Stub(RegionId(1)),
+    NodeKind::Param(ParamId(0), 7),
+    NodeKind::Truncated,
+];
+
+/// One random arena operation: (op, pick, pick, kind).
+type ArenaOp = (u8, u16, u16, u8);
+
+fn check_against_model(
+    arena: &Arena,
+    model: &ModelArena,
+    ids: &[NodeId],
+    roots: &[usize],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(arena.live_nodes(), model.nodes.len() - model.free.len());
+    prop_assert_eq!(arena.capacity_nodes(), model.nodes.len());
+    let mut nodes = Vec::new();
+    for &r in roots {
+        model.preorder(r, &mut nodes);
+    }
+    for i in nodes {
+        let (m, a) = (&model.nodes[i], arena.node(ids[i]));
+        prop_assert_eq!(a.kind, m.kind);
+        prop_assert_eq!(a.parent.map(NodeId::index), m.parent);
+        prop_assert_eq!(a.stats, m.stats);
+        let children: Vec<usize> = arena.children(ids[i]).map(NodeId::index).collect();
+        prop_assert_eq!(&children, &m.children);
+        let mut subtree = Vec::new();
+        model.preorder(i, &mut subtree);
+        prop_assert_eq!(arena.subtree_size(ids[i]), subtree.len());
+    }
+    Ok(())
+}
+
+/// Record the arena's handle for model index `expected`.
+fn remember(ids: &mut Vec<NodeId>, id: NodeId, expected: usize) -> Result<(), TestCaseError> {
+    prop_assert_eq!(id.index(), expected);
+    if ids.len() <= expected {
+        ids.resize(expected + 1, id);
+    }
+    ids[expected] = id;
+    Ok(())
+}
+
+fn run_arena_ops(ops: &[ArenaOp]) -> Result<(), TestCaseError> {
+    let mut arena = Arena::new();
+    let mut model = ModelArena::default();
+    // Handle of every arena index; model and arena hand out the same
+    // indices because both recycle through a LIFO free list.
+    let mut ids: Vec<NodeId> = Vec::new();
+    let mut roots: Vec<usize> = Vec::new();
+    for &(op, a, b, k) in ops {
+        let kind = MODEL_KINDS[k as usize % MODEL_KINDS.len()];
+        let mut all = Vec::new();
+        for &r in &roots {
+            model.preorder(r, &mut all);
+        }
+        match op % 5 {
+            // alloc a detached root
+            0 => {
+                let m = model.alloc(kind, None);
+                let id = arena.alloc(kind, None);
+                remember(&mut ids, id, m)?;
+                roots.push(m);
+            }
+            // find-or-create a child under any live node
+            1 if !all.is_empty() => {
+                let parent = all[a as usize % all.len()];
+                let m = model.child_of(parent, kind);
+                let id = arena.child_of(ids[parent], kind);
+                remember(&mut ids, id, m)?;
+                prop_assert_eq!(arena.find_child(ids[parent], kind), Some(ids[m]));
+            }
+            // record a sample on any live node
+            2 if !all.is_empty() => {
+                let n = all[a as usize % all.len()];
+                model.nodes[n].stats.record(u64::from(b));
+                arena.node_mut(ids[n]).stats.record(u64::from(b));
+            }
+            // merge one detached tree into a node of another
+            3 if roots.len() >= 2 => {
+                let src_at = a as usize % roots.len();
+                let src = roots.remove(src_at);
+                let mut others = Vec::new();
+                for &r in &roots {
+                    model.preorder(r, &mut others);
+                }
+                let dst = others[b as usize % others.len()];
+                // The merge allocates: mirror every allocation's index.
+                let before = model.nodes.len();
+                model.merge_into(src, dst);
+                arena.merge_into(ids[src], ids[dst]);
+                // Reused slots keep their index and handle.
+                for i in before..model.nodes.len() {
+                    let parent = model.nodes[i].parent.expect("merge creates children only");
+                    let id = arena.find_child(ids[parent], model.nodes[i].kind);
+                    remember(&mut ids, id.expect("merged child exists"), i)?;
+                }
+            }
+            // release a detached tree
+            4 if !roots.is_empty() => {
+                let r = roots.remove(a as usize % roots.len());
+                model.release_subtree(r);
+                arena.release_subtree(ids[r]);
+            }
+            _ => {}
+        }
+        check_against_model(&arena, &model, &ids, &roots)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arena_matches_vec_children_model(
+        ops in prop::collection::vec((0u8..5, any::<u16>(), any::<u16>(), 0u8..6), 1..80),
+    ) {
+        run_arena_ops(&ops)?;
+    }
+}
+
+#[test]
+fn sequential_instances_reuse_nodes_and_slots() {
+    // Section V-B: after the first instance has built the aggregate tree,
+    // a thousand more instances (each nesting regions and a parameter
+    // scope) grow neither the arena nor the instance table.
+    let ids = TaskIdAllocator::new();
+    let (task, foo, bar) = (RegionId(1), RegionId(2), RegionId(3));
+    let mut p = ThreadProfile::new(PAR, 0, AssignPolicy::Executing);
+    p.enter(BARRIER, 0);
+    let mut t = 1u64;
+    let mut after_first = None;
+    for k in 0..1001u64 {
+        let id = ids.alloc();
+        p.task_begin(task, id, t);
+        p.enter(foo, t + 1);
+        p.parameter_begin(ParamId(0), (k % 3) as i64, t + 2);
+        p.enter(bar, t + 3);
+        p.exit(bar, t + 4);
+        p.parameter_end(ParamId(0), t + 5);
+        p.exit(foo, t + 6);
+        p.task_end(task, id, t + 7);
+        t += 10;
+        if k == 2 {
+            // The first three instances visit every parameter value.
+            after_first = Some((p.arena_capacity(), p.instance_slots()));
+        }
+    }
+    assert_eq!(Some((p.arena_capacity(), p.instance_slots())), after_first);
+    assert_eq!(p.instance_slots(), 1);
+    p.exit(BARRIER, t);
+    p.finish(t + 1);
+    assert_eq!(p.snapshot(0).task_trees[0].stats.visits, 1001);
 }

@@ -5,6 +5,7 @@ use cube::{
     diagnose, diff_profiles, read_profile, write_profile, AggProfile, DiagnoseConfig, IssueKind,
 };
 use taskprof::ProfMonitor;
+use taskprof_session::MeasurementSession;
 
 fn profile_of(app: AppId, opts: &RunOpts) -> taskprof::Profile {
     let monitor = ProfMonitor::new();
@@ -42,11 +43,25 @@ fn self_diff_is_all_zero_deltas() {
     }
 }
 
+/// A fib profile measured under a deterministic session (virtual clock,
+/// seeded schedule), so verdicts that compare times do not depend on how
+/// fast the host or the profiler is.
+fn deterministic_fib_profile(opts: &RunOpts, seed: u64) -> taskprof::Profile {
+    let session = MeasurementSession::builder("fib")
+        .threads(2)
+        .deterministic(seed)
+        .build()
+        .expect("valid session");
+    let out = bots::fib::run_with_team(session.monitor(), session.team(), opts);
+    assert!(out.verified);
+    session.finish().profile
+}
+
 #[test]
 fn diagnose_flags_fib_but_not_its_cutoff_as_badly() {
     let cfg = DiagnoseConfig::default();
     let bad = diagnose(
-        &profile_of(AppId::Fib, &RunOpts::new(2).scale(Scale::Test)),
+        &deterministic_fib_profile(&RunOpts::new(2).scale(Scale::Test), 17),
         &cfg,
     );
     assert!(
@@ -54,10 +69,9 @@ fn diagnose_flags_fib_but_not_its_cutoff_as_badly() {
         "fib without cut-off must be flagged: {bad:#?}"
     );
     // The cut-off slashes the instance count while each instance carries
-    // more work (the mean-size effect needs release-build timings; the
-    // count is deterministic).
+    // more work.
     let instances = |app_opts: &RunOpts| {
-        let p = profile_of(AppId::Fib, app_opts);
+        let p = deterministic_fib_profile(app_opts, 17);
         let agg = AggProfile::from_profile(&p);
         cube::task_stats(&agg)[0].instances
     };

@@ -2,12 +2,15 @@
 //! binary clients hammer the same daemon concurrently — including the
 //! batched binary ingest path — and no run is lost or duplicated. Also
 //! pins the protocol-restriction modes: a `json`-only server refuses the
-//! binary preamble, a `bin`-only server refuses JSON lines.
+//! binary preamble, a `bin`-only server refuses JSON lines. And it pins
+//! that a binary frame is never mistaken for a JSON line, whatever its
+//! length.
 
 use profserve::{
-    Client, ClientError, ClientTimeouts, ErrorKind, Record, ServeConfig, Server, WireProtocol,
+    wire, Client, ClientError, ClientTimeouts, ErrorKind, Record, Request, Response, ServeConfig,
+    Server, WireProtocol,
 };
-use profstore::ProfileStore;
+use profstore::{ProfileStore, RunWindow};
 use std::collections::HashSet;
 use std::path::PathBuf;
 use taskprof_session::MeasurementSession;
@@ -199,6 +202,65 @@ fn restricted_servers_refuse_the_other_protocol() {
         .expect("ingest over binary");
     handle.stop();
     drop(bin);
+    join.join().expect("join").expect("run");
+    drop(handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Ask a binary connection for the `not_found` answer to a `stats` query
+/// of an unknown benchmark whose name is padded until the response
+/// payload is exactly `target` bytes long.
+fn not_found_of_size(client: &mut Client, target: usize) -> Response {
+    let mut pad = 1usize;
+    for _ in 0..8 {
+        let benchmark = format!("absent-{}", "x".repeat(pad));
+        let response = client
+            .request(&Request::QueryStats {
+                benchmark: benchmark.clone(),
+                threads: 2,
+                window: RunWindow::default(),
+            })
+            .expect("stats query answered");
+        match &response {
+            Response::Error {
+                kind: ErrorKind::NotFound,
+                message,
+            } => assert!(message.contains(&benchmark), "{message}"),
+            other => panic!("expected not_found, got {other:?}"),
+        }
+        let len = wire::encode_response(&response).len();
+        if len == target {
+            return response;
+        }
+        pad = (pad + target)
+            .checked_sub(len)
+            .expect("target below the minimum size");
+    }
+    panic!("could not shape a {target}-byte response");
+}
+
+#[test]
+fn binary_frames_whose_length_starts_with_a_brace_round_trip() {
+    // A frame opens with its u32le payload length; at 123 and 379 bytes
+    // the first byte is `{`, which once made the client read the frame as
+    // a JSON line and lose step with the server.
+    let dir = temp_dir("brace");
+    let (handle, join) = spawn_server(&dir, ServeConfig::default());
+    let addr = handle.addr().to_string();
+    let mut client = Client::connect_proto(&addr, WireProtocol::Binary, ClientTimeouts::default())
+        .expect("binary connects");
+    for target in [123usize, 379] {
+        assert_eq!(target & 0xFF, usize::from(b'{'));
+        let response = not_found_of_size(&mut client, target);
+        assert_eq!(wire::encode_response(&response).len(), target);
+    }
+    // The connection is still in step: a normal request answers.
+    client
+        .ingest_record(&Record::from_text("brace", 2, Some(1), profile_text(1)))
+        .expect("ingest after the brace-length frames");
+    assert_eq!(client.query_stats("brace", 2).expect("stats").runs, 1);
+    handle.stop();
+    drop(client);
     join.join().expect("join").expect("run");
     drop(handle);
     let _ = std::fs::remove_dir_all(&dir);
