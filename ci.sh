@@ -39,6 +39,17 @@ echo "=== live telemetry smoke ==="
 cargo run --release --example live_telemetry | tee /tmp/live_telemetry.out
 grep -q "LIVE_TELEMETRY_OK" /tmp/live_telemetry.out
 
+echo "=== trace smoke (event trace from the profiler's edge log) ==="
+# One measurement yields both the profile and the trace: the example and
+# the CLI build the trace from the recorded edge log and must report the
+# paper's management/work ratio.
+cargo run --release --example trace_analysis | tee /tmp/trace_analysis.out
+grep -q 'management/work ratio' /tmp/trace_analysis.out \
+    || { echo "trace example printed no management/work ratio"; exit 1; }
+cargo run --release --bin taskprof-cli -- run fib --scale test --trace | tee /tmp/trace_cli.out
+grep -q 'management/work ratio' /tmp/trace_cli.out \
+    || { echo "run --trace printed no management/work ratio"; exit 1; }
+
 echo "=== schedule exploration smoke ==="
 # Deterministic simulated schedules over the built-in workloads, every
 # run checked against the paper's profile invariants plus a differential

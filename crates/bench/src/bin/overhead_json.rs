@@ -344,7 +344,7 @@ fn edge_app_time(threads: usize, scale: Scale, variant: Variant, record: bool) -
     monitor.take_profile().expect("no region in flight");
     if record {
         let streams = monitor.take_edge_streams().expect("no region in flight");
-        assert!(streams.iter().any(|(_, evs)| !evs.is_empty()));
+        assert!(streams.iter().any(|s| !s.events.is_empty()));
     }
     out.kernel
 }

@@ -52,7 +52,7 @@ pub use calibrate::{calibrate, Calibration};
 pub use metrics::Stats;
 pub use migrate::DetachedInstance;
 pub use monitor::{
-    ConfigError, ProfMonitor, ProfMonitorBuilder, ProfThread, SessionActiveError,
+    ConfigError, EdgeStream, ProfMonitor, ProfMonitorBuilder, ProfThread, SessionActiveError,
     DEFAULT_PREALLOC_NODES,
 };
 pub use shard::HandoffStack;

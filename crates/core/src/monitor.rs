@@ -29,7 +29,7 @@ use pomp::{
     TaskRef, ThreadHooks,
 };
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use taskprof_telemetry::{TelemetryConfig, TelemetryCore, ThreadTelemetry};
 
@@ -114,6 +114,9 @@ struct Inner<C: ClockSource> {
     spare_arenas: HandoffStack<Arena>,
     live_threads: AtomicUsize,
     live_regions: AtomicUsize,
+    /// Parallel regions forked so far: the instance number a thread
+    /// beginning now stamps on its edge stream.
+    regions_forked: AtomicU64,
     /// Live telemetry counters, when enabled. `None` keeps the event fast
     /// path to a single never-taken branch per hook.
     telemetry: Option<Arc<TelemetryCore>>,
@@ -121,7 +124,28 @@ struct Inner<C: ClockSource> {
     record_edges: bool,
     /// Per-thread edge streams, published lock-free at thread end in
     /// packed form; decoded on drain in [`ProfMonitor::take_edge_streams`].
-    edge_streams: HandoffStack<(usize, PackedEdgeStream)>,
+    edge_streams: HandoffStack<PackedEdgeStream>,
+}
+
+/// One thread's decoded edge log for one parallel-region instance, as
+/// drained by [`ProfMonitor::take_edge_streams`]: the input to
+/// `critpath::TaskDag::from_streams`, `taskprof_trace::Trace::from_edge_streams`
+/// and the [`crate::Replayer`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EdgeStream {
+    /// Which parallel-region instance the stream belongs to, numbered in
+    /// fork order. Task ids restart in every region, so they identify an
+    /// instance only together with this number.
+    pub instance: u64,
+    /// Team-local thread id.
+    pub tid: usize,
+    /// Clock reading at thread begin. An event's absolute time is `start`
+    /// plus the `Advance`s before it, which puts every thread on one
+    /// timebase.
+    pub start: u64,
+    /// The differential event stream, ending with an `Advance` up to
+    /// thread end when time passed after the last hook.
+    pub events: Vec<Event>,
 }
 
 // Edge-record tags (low 4 bits of the first word of every record).
@@ -160,13 +184,17 @@ const ET_PARAM_END: u64 = 11;
 struct EdgeLog {
     last: u64,
     words: Vec<u64>,
+    instance: u64,
+    start: u64,
 }
 
 impl EdgeLog {
-    fn new(t: u64) -> Self {
+    fn new(instance: u64, t: u64) -> Self {
         EdgeLog {
             last: t,
             words: Vec::with_capacity(1 << 12),
+            instance,
+            start: t,
         }
     }
 
@@ -259,13 +287,13 @@ impl EdgeLog {
         }
     }
 
-    /// Seal the log at thread-end timestamp `t`: the packed words plus
-    /// the final span, ready for off-path decoding.
-    fn finish(self, t: u64) -> PackedEdgeStream {
+    /// Seal thread `tid`'s log at thread-end timestamp `t`: the packed
+    /// words plus the final span, ready for off-path decoding.
+    fn finish(self, tid: usize, t: u64) -> PackedEdgeStream {
         PackedEdgeStream {
-            last: self.last,
+            tid,
             end: t,
-            words: self.words,
+            log: self,
         }
     }
 }
@@ -273,20 +301,26 @@ impl EdgeLog {
 /// A sealed [`EdgeLog`]: the packed word buffer plus the thread-end
 /// timestamp, published through the handoff stack and decoded lazily.
 struct PackedEdgeStream {
-    last: u64,
+    tid: usize,
     end: u64,
-    words: Vec<u64>,
+    log: EdgeLog,
 }
 
 impl PackedEdgeStream {
     /// Decode the packed log into the replayable event stream, with a
     /// trailing `Advance` up to the thread-end timestamp.
-    fn into_events(self) -> Vec<Event> {
+    fn decode(self) -> EdgeStream {
+        let EdgeLog {
+            last,
+            words,
+            instance,
+            start,
+        } = self.log;
         let task_id = |w: u64| TaskId::from_raw(w).expect("recorded task ids are nonzero");
-        let mut out = Vec::with_capacity(self.words.len());
+        let mut out = Vec::with_capacity(words.len());
         let mut i = 0;
-        while i < self.words.len() {
-            let w = self.words[i];
+        while i < words.len() {
+            let w = words[i];
             i += 1;
             let tag = w & 0xF;
             if tag == ET_LONG_ADVANCE {
@@ -299,7 +333,7 @@ impl PackedEdgeStream {
             }
             let a = ((w >> 28) & 0xFFFF_FFFF) as u32;
             let mut extra = || {
-                let w = self.words[i];
+                let w = words[i];
                 i += 1;
                 w
             };
@@ -337,10 +371,15 @@ impl PackedEdgeStream {
                 _ => unreachable!("unknown edge-record tag {tag}"),
             });
         }
-        if self.end > self.last {
-            out.push(Event::Advance(self.end - self.last));
+        if self.end > last {
+            out.push(Event::Advance(self.end - last));
         }
-        out
+        EdgeStream {
+            instance,
+            tid: self.tid,
+            start,
+            events: out,
+        }
     }
 }
 
@@ -494,6 +533,7 @@ impl<C: ClockSource> ProfMonitorBuilder<C> {
                 spare_arenas: HandoffStack::new(),
                 live_threads: AtomicUsize::new(0),
                 live_regions: AtomicUsize::new(0),
+                regions_forked: AtomicU64::new(0),
                 telemetry: self
                     .telemetry
                     .map(|cfg| Arc::new(TelemetryCore::new(cfg))),
@@ -596,12 +636,11 @@ impl<C: ClockSource> ProfMonitor<C> {
     }
 
     /// Drain the edge streams recorded since the last call, sorted by
-    /// thread id — the input to `critpath::TaskDag::from_streams`. Empty
-    /// unless the monitor was built with
-    /// [`ProfMonitorBuilder::record_task_edges`]. Like
+    /// region instance, then thread id. Empty unless the monitor was
+    /// built with [`ProfMonitorBuilder::record_task_edges`]. Like
     /// [`ProfMonitor::take_profile`], draining mid-measurement would hand
     /// back a torn run, so it is the same typed error.
-    pub fn take_edge_streams(&self) -> Result<Vec<(usize, Vec<Event>)>, SessionActiveError> {
+    pub fn take_edge_streams(&self) -> Result<Vec<EdgeStream>, SessionActiveError> {
         let live_threads = self.inner.live_threads.load(Ordering::Acquire);
         let live_regions = self.inner.live_regions.load(Ordering::Acquire);
         if live_threads > 0 || live_regions > 0 {
@@ -610,14 +649,14 @@ impl<C: ClockSource> ProfMonitor<C> {
                 live_regions,
             });
         }
-        let mut streams: Vec<(usize, Vec<Event>)> = self
+        let mut streams: Vec<EdgeStream> = self
             .inner
             .edge_streams
             .take_all()
             .into_iter()
-            .map(|(tid, packed)| (tid, packed.into_events()))
+            .map(PackedEdgeStream::decode)
             .collect();
-        streams.sort_by_key(|(tid, _)| *tid);
+        streams.sort_by_key(|s| (s.instance, s.tid));
         Ok(streams)
     }
 }
@@ -704,6 +743,9 @@ impl<C: ClockSource + 'static> Monitor for ProfMonitor<C> {
 
     fn parallel_fork(&self, _region: RegionId, _nthreads: usize) {
         self.inner.live_regions.fetch_add(1, Ordering::AcqRel);
+        // Relaxed: the count publishes no other data, and the runtime
+        // starts the region's threads after the fork returns.
+        self.inner.regions_forked.fetch_add(1, Ordering::Relaxed);
     }
 
     fn parallel_join(&self, _region: RegionId) {
@@ -737,10 +779,10 @@ impl<C: ClockSource + 'static> Monitor for ProfMonitor<C> {
             tid,
             prof: UnsafeCell::new(prof),
             telem,
-            edges: self
-                .inner
-                .record_edges
-                .then(|| UnsafeCell::new(EdgeLog::new(t))),
+            edges: self.inner.record_edges.then(|| {
+                let instance = self.inner.regions_forked.load(Ordering::Relaxed);
+                UnsafeCell::new(EdgeLog::new(instance, t))
+            }),
         }
     }
 
@@ -749,8 +791,7 @@ impl<C: ClockSource + 'static> Monitor for ProfMonitor<C> {
         let mut prof = thread.prof.into_inner();
         prof.finish(t);
         if let Some(cell) = thread.edges {
-            let log = cell.into_inner();
-            self.inner.edge_streams.push((tid, log.finish(t)));
+            self.inner.edge_streams.push(cell.into_inner().finish(tid, t));
         }
         // Lock-free hand-off: one CAS publishes the snapshot, one more
         // returns the arena to the spare pool.
@@ -1038,8 +1079,13 @@ mod tests {
         m.parallel_join(par);
         let streams = m.take_edge_streams().unwrap();
         assert_eq!(streams.len(), 1);
-        let (tid, events) = &streams[0];
-        assert_eq!(*tid, 0);
+        let EdgeStream {
+            instance,
+            tid,
+            start,
+            events,
+        } = &streams[0];
+        assert_eq!((*instance, *tid, *start), (1, 0, 0));
         assert_eq!(
             events.as_slice(),
             &[
@@ -1060,6 +1106,55 @@ mod tests {
         // Drained: second take is empty, and the profile still collected.
         assert!(m.take_edge_streams().unwrap().is_empty());
         assert_eq!(m.take_profile().unwrap().num_threads(), 1);
+    }
+
+    #[test]
+    fn edge_log_decodes_idle_threads_long_gaps_and_negative_params() {
+        let clock = VirtualClock::new();
+        let m = ProfMonitor::builder()
+            .clock(clock.clone())
+            .record_task_edges()
+            .build()
+            .unwrap();
+        let (par, param) = (RegionId(0), ParamId(3));
+        // Region 1: a thread that begins at 100 and runs no hooks.
+        clock.set(100);
+        m.parallel_fork(par, 2);
+        let idle = m.thread_begin(1, 2, par);
+        clock.set(107);
+        m.thread_end(1, idle);
+        m.parallel_join(par);
+        // Region 2: a gap of 2^24 ns (too wide for a record header) and
+        // a negative parameter value.
+        m.parallel_fork(par, 1);
+        let th = m.thread_begin(0, 1, par);
+        clock.set(107 + (1 << 24));
+        th.parameter_begin(param, -42);
+        th.parameter_end(param);
+        m.thread_end(0, th);
+        m.parallel_join(par);
+        let streams = m.take_edge_streams().unwrap();
+        assert_eq!(
+            streams,
+            vec![
+                EdgeStream {
+                    instance: 1,
+                    tid: 1,
+                    start: 100,
+                    events: vec![Event::Advance(7)],
+                },
+                EdgeStream {
+                    instance: 2,
+                    tid: 0,
+                    start: 107,
+                    events: vec![
+                        Event::Advance(1 << 24),
+                        Event::ParamBegin { param, value: -42 },
+                        Event::ParamEnd { param },
+                    ],
+                },
+            ]
+        );
     }
 
     #[test]

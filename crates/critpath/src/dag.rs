@@ -40,7 +40,7 @@
 
 use pomp::{registry, RegionId, RegionKind, TaskId, TaskRef};
 use std::collections::HashMap;
-use taskprof::Event;
+use taskprof::{EdgeStream, Event};
 
 /// Sentinel region for carved creation overhead whose construct has no
 /// known creation region (no deferred instance was ever observed).
@@ -97,13 +97,17 @@ impl std::fmt::Display for DagError {
 
 impl std::error::Error for DagError {}
 
+/// An explicit task instance: task ids restart in every parallel
+/// region, so the region instance is part of the key.
+type InstanceTask = (u64, TaskId);
+
 /// Which task a vertex belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum TaskKey {
-    /// The implicit task of thread `tid`.
-    Implicit(usize),
+    /// The implicit task of thread `tid` in one region instance.
+    Implicit(u64, usize),
     /// An explicit task instance.
-    Explicit(TaskId),
+    Explicit(InstanceTask),
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -153,24 +157,25 @@ struct Builder {
     /// joins of undeferred children).
     pending_join: HashMap<TaskKey, Vec<u32>>,
     /// Children created by each task and not yet joined at a taskwait.
-    children_unjoined: HashMap<TaskKey, Vec<TaskId>>,
+    children_unjoined: HashMap<TaskKey, Vec<InstanceTask>>,
     /// `task_create_end` vertex per deferred task.
-    create_vertex: HashMap<TaskId, u32>,
-    creator_thread: HashMap<TaskId, usize>,
-    end_vertex: HashMap<TaskId, u32>,
+    create_vertex: HashMap<InstanceTask, u32>,
+    creator_thread: HashMap<InstanceTask, usize>,
+    end_vertex: HashMap<InstanceTask, u32>,
     /// Undeferred child → creator (for the inline join).
-    inline_parent: HashMap<TaskId, TaskKey>,
+    inline_parent: HashMap<InstanceTask, TaskKey>,
     /// Task construct region → its creation region (learned from
     /// `task_create_begin` events in the pre-pass).
     create_region_of: HashMap<RegionId, RegionId>,
     /// Tasks announced by a `task_create_begin` (deferred path).
-    deferred: std::collections::HashSet<TaskId>,
+    deferred: std::collections::HashSet<InstanceTask>,
     /// Unresolved cross-thread edges: (child id, target vertex).
-    create_edges: Vec<(TaskId, u32)>,
-    join_edges: Vec<(TaskId, u32)>,
-    /// Barrier exits grouped by (barrier region, occurrence).
-    barrier_exits: HashMap<(RegionId, usize), Vec<BarrierExit>>,
-    barrier_count: HashMap<(usize, RegionId), usize>,
+    create_edges: Vec<(InstanceTask, u32)>,
+    join_edges: Vec<(InstanceTask, u32)>,
+    /// Barrier exits grouped by (region instance, barrier region,
+    /// occurrence).
+    barrier_exits: HashMap<(u64, RegionId, usize), Vec<BarrierExit>>,
+    barrier_count: HashMap<(u64, usize, RegionId), usize>,
     tasks: u64,
     resumes: u64,
     creates_by: HashMap<usize, u64>,
@@ -278,11 +283,13 @@ impl ThreadWalk {
 
 impl TaskDag {
     /// Build the DAG from per-thread event streams (the shape produced by
-    /// `ProfMonitor::take_edge_streams` and `simsched::EventRecorder`).
-    /// `parallel_region` is the region id of the parallel construct the
-    /// streams cover (the implicit tasks' base attribution).
+    /// `ProfMonitor::take_edge_streams`). `parallel_region` is the region
+    /// id of the parallel construct the streams cover (the implicit
+    /// tasks' base attribution). Streams of several region instances are
+    /// chained in instance order: a weight-0 join vertex after each
+    /// instance precedes everything of the next.
     pub fn from_streams(
-        streams: &[(usize, Vec<Event>)],
+        streams: &[EdgeStream],
         parallel_region: RegionId,
         opts: &DagOptions,
     ) -> Result<TaskDag, DagError> {
@@ -313,32 +320,47 @@ impl TaskDag {
         // event) and each construct's creation region, across ALL streams —
         // a stolen task's creation lives in a different stream than its
         // execution.
-        for (_, events) in streams {
-            for ev in events {
+        for s in streams {
+            for ev in &s.events {
                 if let Event::CreateBegin {
                     create,
                     task_region,
                     id,
                 } = ev
                 {
-                    b.deferred.insert(*id);
+                    b.deferred.insert((s.instance, *id));
                     b.create_region_of.insert(*task_region, *create);
                 }
             }
         }
 
-        let mut first_thread: HashMap<TaskId, usize> = HashMap::new();
-        for (tid, events) in streams {
-            let tid = *tid;
+        let mut order: Vec<&EdgeStream> = streams.iter().collect();
+        order.sort_by_key(|s| s.instance);
+        let mut first_thread: HashMap<InstanceTask, usize> = HashMap::new();
+        let mut instance = order.first().map(|s| s.instance);
+        let mut instance_first = 0;
+        let mut join = None;
+        for s in order {
+            let (inst, tid) = (s.instance, s.tid);
+            if instance != Some(inst) {
+                let j = b.node(0, SPAWN_REGION, tid);
+                for v in instance_first..j {
+                    b.logical_edge(v, j);
+                }
+                (instance, instance_first, join) = (Some(inst), j + 1, Some(j));
+            }
             let mut w = ThreadWalk {
                 tid,
                 pending: 0,
-                prev: None,
+                prev: join,
             };
-            let mut current = TaskKey::Implicit(tid);
+            let mut current = TaskKey::Implicit(inst, tid);
             b.frames
                 .insert(current, vec![Frame::Region(parallel_region)]);
-            for ev in events {
+            if let Some(j) = join {
+                b.task_last.insert(current, j);
+            }
+            for ev in &s.events {
                 match *ev {
                     Event::Advance(dt) => {
                         w.pending += dt;
@@ -370,11 +392,11 @@ impl TaskDag {
                                 }
                             }
                             RegionKind::ImplicitBarrier | RegionKind::ExplicitBarrier => {
-                                let k = b.barrier_count.entry((tid, r)).or_insert(0);
+                                let k = b.barrier_count.entry((inst, tid, r)).or_insert(0);
                                 let occurrence = *k;
                                 *k += 1;
                                 b.barrier_exits
-                                    .entry((r, occurrence))
+                                    .entry((inst, r, occurrence))
                                     .or_default()
                                     .push((pre, v));
                             }
@@ -386,6 +408,7 @@ impl TaskDag {
                         task_region: _,
                         id,
                     } => {
+                        let id = (inst, id);
                         w.emit_interval(&mut b, current, None);
                         w.event_vertex(&mut b, current);
                         b.frames
@@ -397,6 +420,7 @@ impl TaskDag {
                         *b.creates_by.entry(tid).or_insert(0) += 1;
                     }
                     Event::CreateEnd { create, id } => {
+                        let id = (inst, id);
                         w.emit_interval(&mut b, current, None);
                         let v = w.event_vertex(&mut b, current);
                         match b.frames.get_mut(&current).unwrap().pop() {
@@ -411,6 +435,7 @@ impl TaskDag {
                         b.create_vertex.insert(id, v);
                     }
                     Event::TaskBegin { region, id } => {
+                        let id = (inst, id);
                         let undeferred = !b.deferred.contains(&id);
                         let carved = if undeferred {
                             let carve = opts.undeferred_spawn_cost.map(|c| {
@@ -447,6 +472,7 @@ impl TaskDag {
                         current = key;
                     }
                     Event::TaskEnd { region: _, id } | Event::TaskAbort { region: _, id } => {
+                        let id = (inst, id);
                         let key = TaskKey::Explicit(id);
                         w.emit_interval(&mut b, key, None);
                         let v = w.event_vertex(&mut b, key);
@@ -455,15 +481,15 @@ impl TaskDag {
                             b.pending_join.entry(parent).or_default().push(v);
                         }
                         b.frames.remove(&key);
-                        current = TaskKey::Implicit(tid);
+                        current = TaskKey::Implicit(inst, tid);
                     }
                     Event::Switch(target) => {
                         w.emit_interval(&mut b, current, None);
                         let key = match target {
-                            TaskRef::Implicit => TaskKey::Implicit(tid),
+                            TaskRef::Implicit => TaskKey::Implicit(inst, tid),
                             TaskRef::Explicit(id) => {
                                 b.resumes += 1;
-                                TaskKey::Explicit(id)
+                                TaskKey::Explicit((inst, id))
                             }
                         };
                         w.event_vertex(&mut b, key);
@@ -495,18 +521,18 @@ impl TaskDag {
 
         // Resolve cross-thread creation edges.
         for (id, target) in std::mem::take(&mut b.create_edges) {
-            let src = *b
-                .create_vertex
-                .get(&id)
-                .ok_or(DagError::MissingTask { id, what: "creation" })?;
+            let src = *b.create_vertex.get(&id).ok_or(DagError::MissingTask {
+                id: id.1,
+                what: "creation",
+            })?;
             b.logical_edge(src, target);
         }
         // Resolve taskwait joins.
         for (id, target) in std::mem::take(&mut b.join_edges) {
-            let src = *b
-                .end_vertex
-                .get(&id)
-                .ok_or(DagError::MissingTask { id, what: "completion" })?;
+            let src = *b.end_vertex.get(&id).ok_or(DagError::MissingTask {
+                id: id.1,
+                what: "completion",
+            })?;
             b.logical_edge(src, target);
         }
         // Barrier synchronization: under the serialized simulation the
@@ -514,7 +540,7 @@ impl TaskDag {
         // outstanding task completed, and everything a thread did before
         // exiting happened before the release — so every thread's last
         // pre-exit vertex precedes every thread's exit.
-        for ((_, _), exits) in std::mem::take(&mut b.barrier_exits) {
+        for (_, exits) in std::mem::take(&mut b.barrier_exits) {
             let pres: Vec<u32> = exits.iter().filter_map(|(pre, _)| *pre).collect();
             for &(_, exit) in &exits {
                 for &pre in &pres {
@@ -531,7 +557,11 @@ impl TaskDag {
             .count() as u64;
 
         let fragments = b.tasks + b.resumes;
-        let threads = streams.len();
+        let threads = streams
+            .iter()
+            .map(|s| s.tid)
+            .collect::<std::collections::HashSet<_>>()
+            .len();
         let mut dag = TaskDag {
             nodes: b.nodes,
             preds: b.preds,
@@ -645,7 +675,7 @@ impl TaskDag {
         }
     }
 
-    /// Number of team threads observed.
+    /// Number of distinct team threads observed.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -666,8 +696,8 @@ impl TaskDag {
         self.fragments
     }
 
-    /// Work performed by each thread, indexed by position in the stream
-    /// list (utilization = thread work / makespan).
+    /// Work performed by each thread, indexed by thread id
+    /// (utilization = thread work / makespan).
     pub fn work_by_thread(&self) -> Vec<u64> {
         let mut acc = vec![0u64; self.threads];
         for n in &self.nodes {
@@ -772,7 +802,7 @@ mod tests {
 
     /// Single thread, one deferred task executed at a taskwait:
     ///   implicit: 10ns work, create (40ns), taskwait { task: 25ns }, 5ns.
-    fn one_thread_stream() -> (Vec<(usize, Vec<Event>)>, RegionId, RegionId, RegionId) {
+    fn one_thread_stream() -> (Vec<EdgeStream>, RegionId, RegionId, RegionId) {
         let par = region("dag-par", RegionKind::Parallel);
         let task = region("dag-task", RegionKind::Task);
         let create = region("dag-create", RegionKind::TaskCreate);
@@ -795,7 +825,7 @@ mod tests {
             Event::Exit(tw),
             Event::Advance(5),
         ];
-        (vec![(0, events)], par, task, create)
+        (crate::one_region(vec![(0, events)]), par, task, create)
     }
 
     #[test]
@@ -855,8 +885,8 @@ mod tests {
             Event::TaskEnd { region: task, id },
             Event::Exit(bar),
         ];
-        let dag =
-            TaskDag::from_streams(&[(0, s0), (1, s1)], par, &DagOptions::default()).unwrap();
+        let streams = crate::one_region(vec![(0, s0), (1, s1)]);
+        let dag = TaskDag::from_streams(&streams, par, &DagOptions::default()).unwrap();
         assert_eq!(dag.work_ns(), 200);
         // Span: create(40) → task(60) → barrier vs create(40) → work(100)
         // → barrier: 140.
@@ -915,7 +945,7 @@ mod tests {
             },
             Event::Exit(bar),
         ];
-        let streams = vec![(0, s0)];
+        let streams = crate::one_region(vec![(0, s0)]);
         let carved = TaskDag::from_streams(
             &streams,
             par,
@@ -977,8 +1007,8 @@ mod tests {
             Event::TaskEnd { region: task, id: c },
             Event::Exit(bar),
         ];
-        let dag =
-            TaskDag::from_streams(&[(0, s0), (1, s1)], par, &DagOptions::default()).unwrap();
+        let streams = crate::one_region(vec![(0, s0), (1, s1)]);
+        let dag = TaskDag::from_streams(&streams, par, &DagOptions::default()).unwrap();
         // Logical span: create a (10) → a (100) → taskwait exit → 7 = 117
         // (a does not depend on c's creation; c's chain 10+10+50+7 is
         // shorter).
@@ -1017,7 +1047,8 @@ mod tests {
             Event::TaskEnd { region: task, id: a },
             Event::Exit(tw),
         ];
-        let err = TaskDag::from_streams(&[(0, s0)], par, &DagOptions::default()).unwrap_err();
+        let streams = crate::one_region(vec![(0, s0)]);
+        let err = TaskDag::from_streams(&streams, par, &DagOptions::default()).unwrap_err();
         assert!(matches!(err, DagError::MissingTask { what: "completion", .. }));
         assert!(err.to_string().contains("missing completion"), "{err}");
     }
@@ -1027,7 +1058,8 @@ mod tests {
         let par = region("dag6-par", RegionKind::Parallel);
         let r = region("dag6-r", RegionKind::Function);
         let s0 = vec![Event::Exit(r)];
-        let err = TaskDag::from_streams(&[(0, s0)], par, &DagOptions::default()).unwrap_err();
+        let streams = crate::one_region(vec![(0, s0)]);
+        let err = TaskDag::from_streams(&streams, par, &DagOptions::default()).unwrap_err();
         assert!(matches!(err, DagError::UnbalancedFrame { thread: 0, .. }), "{err:?}");
     }
 }

@@ -37,3 +37,17 @@ mod report;
 
 pub use dag::{DagError, DagOptions, TaskDag, SPAWN_REGION};
 pub use report::{CritPathReport, DetrimentalFlag, RegionRow, WhatIfPrediction};
+
+/// One region instance's per-thread streams, every thread beginning at 0.
+#[cfg(test)]
+fn one_region(threads: Vec<(usize, Vec<taskprof::Event>)>) -> Vec<taskprof::EdgeStream> {
+    threads
+        .into_iter()
+        .map(|(tid, events)| taskprof::EdgeStream {
+            instance: 0,
+            tid,
+            start: 0,
+            events,
+        })
+        .collect()
+}

@@ -229,7 +229,7 @@ mod tests {
 
     /// Thread 0 creates `n` tasks back-to-back (10ns each inside the
     /// create frame); thread 1 runs them all inside the barrier (1ns each).
-    fn single_creator_streams(n: u64) -> (Vec<(usize, Vec<Event>)>, RegionId) {
+    fn single_creator_streams(n: u64) -> (Vec<taskprof::EdgeStream>, RegionId) {
         let par = region("rep-par", RegionKind::Parallel);
         let task = region("rep-task", RegionKind::Task);
         let create = region("rep-create", RegionKind::TaskCreate);
@@ -255,7 +255,7 @@ mod tests {
             s1.push(Event::TaskEnd { region: task, id });
         }
         s1.push(Event::Exit(bar));
-        (vec![(0, s0), (1, s1)], par)
+        (crate::one_region(vec![(0, s0), (1, s1)]), par)
     }
 
     #[test]

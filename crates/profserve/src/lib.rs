@@ -41,6 +41,9 @@
 
 #![warn(missing_docs)]
 
+#[cfg(not(unix))]
+compile_error!("profserve serves through a poll(2)/epoll reactor and builds on unix hosts only");
+
 pub mod client;
 pub mod json;
 pub mod protocol;

@@ -36,8 +36,6 @@
 //!   bound, never blocking ingest) and receives a typed `lagged` notice
 //!   once it catches up.
 
-#![cfg(unix)]
-
 use crate::protocol::{error_line, ErrorKind, Notification, Response, WireProtocol};
 use crate::server::{
     now_ns, serve_bin_payload, serve_json_line, server_stats_report, Shared, REACTOR_TICK,
@@ -1028,7 +1026,6 @@ mod tests {
         let shared = Arc::new(Shared {
             store: std::sync::RwLock::new(store.into()),
             counters: taskprof_telemetry::ServiceCounters::new(),
-            permits: std::sync::atomic::AtomicUsize::new(4),
             stop: std::sync::atomic::AtomicBool::new(false),
             read_only: std::sync::atomic::AtomicBool::new(false),
             config: crate::ServeConfig::default(),

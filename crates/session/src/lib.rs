@@ -20,8 +20,8 @@
 //!
 //! The monitor stack is assembled *statically*: each combinator
 //! ([`MeasurementSession::validated`], [`MeasurementSession::counted`],
-//! [`MeasurementSession::filtered`], [`MeasurementSession::observed_by`])
-//! changes the session's monitor **type**, so the per-event path
+//! [`MeasurementSession::filtered`]) changes the session's monitor
+//! **type**, so the per-event path
 //! monomorphizes — the compiler sees the concrete
 //! `ValidatingThread<CountingThread<ProfThread<…>>>` chain and inlines it;
 //! there is no `dyn Monitor` dispatch anywhere on the hot path. The
@@ -37,7 +37,7 @@ use pomp::{
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use taskprof::{AssignPolicy, ConfigError, ProfMonitor, ProfMonitorBuilder, Profile};
+use taskprof::{AssignPolicy, ConfigError, EdgeStream, ProfMonitor, ProfMonitorBuilder, Profile};
 use taskprof_telemetry::{Sampler, TelemetryConfig, TelemetryCore, TelemetrySnapshot};
 use taskrt::{ParallelConstruct, ParallelOutcome, TaskCtx, Team};
 
@@ -94,7 +94,7 @@ impl<M: ProfStack> ProfStack for FilteredMonitor<M> {
     }
 }
 
-/// A side observer (tracer, counter, …) paired with a profiling stack:
+/// A side observer (e.g. the event counter) paired with a profiling stack:
 /// the stack lives in the second slot, mirroring `(&observer, &stack)`
 /// pair-monitor usage.
 impl<A: Monitor, B: ProfStack> ProfStack for (A, B) {
@@ -213,6 +213,10 @@ pub struct SessionReport {
     /// edges, present when the session was built with
     /// [`SessionBuilder::record_task_edges`].
     pub critpath: Option<critpath::CritPathReport>,
+    /// The decoded edge streams the critical path was computed from, one
+    /// per thread and region (e.g. for `taskprof_trace::Trace::from_edge_streams`);
+    /// present when [`SessionReport::critpath`] is.
+    pub edge_streams: Option<Vec<EdgeStream>>,
 }
 
 impl SessionReport {
@@ -561,19 +565,6 @@ impl<M: ProfStack> MeasurementSession<M> {
         }
     }
 
-    /// Pair an additional observer (e.g. a tracer) with the stack; it sees
-    /// the same event stream, before the profiling layers.
-    pub fn observed_by<O: Monitor>(self, observer: O) -> MeasurementSession<(O, M)> {
-        MeasurementSession {
-            team: self.team,
-            construct: self.construct,
-            monitor: (observer, self.monitor),
-            counts: self.counts,
-            export: self.export,
-            sim_spawn_cost: self.sim_spawn_cost,
-        }
-    }
-
     /// Execute one parallel region under the session's construct: `f` runs
     /// once per team thread as its implicit task. May be called repeatedly;
     /// every region's measurements accumulate into the final report.
@@ -616,7 +607,7 @@ impl<M: ProfStack> MeasurementSession<M> {
             .export
             .as_ref()
             .map(|plan| export_profile(plan, &profile));
-        let critpath = if self.monitor.profiler().records_task_edges() {
+        let (critpath, edge_streams) = if self.monitor.profiler().records_task_edges() {
             let streams = self
                 .monitor
                 .profiler()
@@ -627,9 +618,9 @@ impl<M: ProfStack> MeasurementSession<M> {
             };
             let dag = critpath::TaskDag::from_streams(&streams, self.construct.region, &opts)
                 .expect("recorded edge streams assemble into a DAG");
-            Some(dag.report())
+            (Some(dag.report()), Some(streams))
         } else {
-            None
+            (None, None)
         };
         SessionReport {
             profile,
@@ -638,6 +629,7 @@ impl<M: ProfStack> MeasurementSession<M> {
             telemetry,
             export,
             critpath,
+            edge_streams,
         }
     }
 }
@@ -794,13 +786,55 @@ mod tests {
     }
 
     #[test]
+    fn critpath_chains_repeated_runs() {
+        let task = TaskConstruct::new("session-rerun-task");
+        let tw = taskrt::taskwait_region("session-rerun!tw");
+        let session = MeasurementSession::builder("session-rerun")
+            .threads(2)
+            .deterministic(5)
+            .record_task_edges()
+            .build()
+            .unwrap();
+        for _ in 0..2 {
+            session
+                .run(|ctx| {
+                    for _ in 0..3 {
+                        ctx.task(&task, |_| {});
+                    }
+                    ctx.taskwait(tw);
+                })
+                .unwrap();
+        }
+        let report = session.finish();
+        assert_eq!(report.critpath().tasks, 12, "task ids restart per region");
+        let streams = report.edge_streams.as_ref().unwrap();
+        let mut instances: Vec<u64> = streams.iter().map(|s| s.instance).collect();
+        instances.dedup();
+        assert_eq!(instances.len(), 2);
+        // Work is a sum of interval weights, whatever the attribution.
+        let work_alone: u64 = instances
+            .iter()
+            .map(|&i| {
+                let region: Vec<EdgeStream> =
+                    streams.iter().filter(|s| s.instance == i).cloned().collect();
+                critpath::TaskDag::from_streams(&region, RegionId(0), &Default::default())
+                    .unwrap()
+                    .work_ns()
+            })
+            .sum();
+        assert_eq!(report.critpath().work_ns, work_alone);
+    }
+
+    #[test]
     fn critpath_absent_without_edge_recording() {
         let session = MeasurementSession::builder("session-no-critpath")
             .threads(1)
             .build()
             .unwrap();
         session.run(|_| {}).unwrap();
-        assert!(session.finish().critpath.is_none());
+        let report = session.finish();
+        assert!(report.critpath.is_none());
+        assert!(report.edge_streams.is_none());
     }
 
     #[test]

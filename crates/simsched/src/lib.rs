@@ -35,7 +35,6 @@
 mod clock;
 mod explore;
 mod invariants;
-mod recorder;
 mod rng;
 mod run;
 mod scheduler;
@@ -45,7 +44,6 @@ pub mod workloads;
 pub use clock::SimClock;
 pub use explore::{explore_dfs, explore_seeds, ExploreReport};
 pub use invariants::{check_differential, check_profile, fingerprint, Fingerprint, Violation};
-pub use recorder::{EventRecorder, RecorderThread};
 pub use rng::SplitMix64;
 pub use run::{run_workload, Choices, SimConfig, SimRun};
 pub use scheduler::{Choice, SimScheduler, DEFAULT_SPAWN_COST_NS};

@@ -1,10 +1,9 @@
 //! One simulated run: workload × schedule → profile + replay + trace.
 
-use crate::recorder::EventRecorder;
 use crate::scheduler::{Choice, SimScheduler, DEFAULT_SPAWN_COST_NS};
 use crate::workloads::TreeWorkload;
 use std::sync::Arc;
-use taskprof::{AssignPolicy, ProfMonitor, Replayer, ThreadSnapshot};
+use taskprof::{AssignPolicy, EdgeStream, ProfMonitor, Replayer, ThreadSnapshot};
 use taskrt::Team;
 
 /// Where scheduling decisions come from.
@@ -55,18 +54,18 @@ pub struct SimRun {
     pub config: SimConfig,
     /// The profiler's output, measured incrementally during the run.
     pub profile: taskprof::Profile,
-    /// Per-thread snapshots obtained by *replaying* the recorded event
-    /// stream offline — must agree with `profile` (differential check).
+    /// Per-thread snapshots obtained by *replaying* the profiler's own
+    /// edge log offline — must agree with `profile` (differential check).
     pub replayed: Vec<ThreadSnapshot>,
-    /// The recorded per-thread event streams themselves (sorted by tid) —
-    /// the input to `critpath::TaskDag::from_streams`.
-    pub streams: Vec<(usize, Vec<taskprof::Event>)>,
+    /// The profiler's per-thread edge streams (sorted by tid) — the input
+    /// to `critpath::TaskDag::from_streams`.
+    pub streams: Vec<EdgeStream>,
     /// The schedule: every recorded decision, in order.
     pub trace: Vec<Choice>,
 }
 
 /// Execute `workload` once under full simulation: deterministic scheduler,
-/// virtual clocks, the real profiler, and an event recorder in parallel.
+/// virtual clocks, and the real profiler recording its edge log.
 /// Panics if a task body panics (workloads are expected not to).
 pub fn run_workload(workload: &TreeWorkload, config: &SimConfig) -> SimRun {
     let sched = match &config.choices {
@@ -78,25 +77,21 @@ pub fn run_workload(workload: &TreeWorkload, config: &SimConfig) -> SimRun {
     let sched = Arc::new(sched);
     let team = Team::new(config.nthreads).with_policy(sched.clone());
 
-    let recorder = EventRecorder::new(clock.clone());
     let prof = ProfMonitor::builder()
         .clock(clock.clone())
+        .record_task_edges()
         .build()
         .expect("profiler config is valid");
-    // Recorder on the left: both monitors see each hook at the same
-    // virtual timestamp, so the replayed stream is an exact transcript of
-    // what the profiler measured.
-    let monitor = (&recorder, &prof);
-    workload.run(&team, &monitor, &clock).unwrap();
+    workload.run(&team, &prof, &clock).unwrap();
 
     let profile = prof.take_profile().expect("region finished");
-    let streams = recorder.take_streams();
+    let streams = prof.take_edge_streams().expect("region finished");
     let replayed = streams
         .iter()
-        .map(|(tid, events)| {
+        .map(|s| {
             let mut r = Replayer::new(workload.parallel_region(), AssignPolicy::Executing);
-            r.run(events.iter().copied());
-            r.finish(*tid)
+            r.run(s.events.iter().copied());
+            r.finish(s.tid)
         })
         .collect();
     SimRun {

@@ -10,9 +10,10 @@
 //!
 //! This crate implements that future work:
 //!
-//! * [`TraceMonitor`] records a timestamped per-thread event trace through
-//!   the same `pomp` hooks the profiler uses (attach both at once with the
-//!   `(A, B)` pair monitor),
+//! * [`Trace::from_edge_streams`] turns the profiler's own edge log
+//!   (`ProfMonitor` built with `record_task_edges()`) into a timestamped
+//!   per-thread event trace, so one measurement yields both the profile
+//!   and the trace,
 //! * [`analysis`] computes the paper's proposed metrics: scheduling-point
 //!   dwell decomposition (pre-switch management vs. task execution vs.
 //!   residual waiting), creation-to-start queue latencies, fragments per
@@ -22,10 +23,8 @@
 
 pub mod analysis;
 pub mod event;
-pub mod recorder;
 pub mod store;
 
 pub use analysis::{analyze, InstanceLatency, SchedulingPointBreakdown, TraceAnalysis};
 pub use event::{EventKind, Trace, TraceEvent};
-pub use recorder::TraceMonitor;
 pub use store::{read_trace, write_trace, ParseError};

@@ -5,8 +5,9 @@
 //! cargo run --release --example trace_analysis
 //! ```
 //!
-//! Attaches the profiler *and* the tracer to the same run (the pair
-//! monitor), then answers the question the profile alone cannot: of the
+//! Records the profiler's edge log alongside the profile, so one run
+//! yields both the call-path profile and the event trace, then answers
+//! the question the profile alone cannot: of the
 //! time threads spend inside scheduling points, how much passes before
 //! the first task switch (management), how much executes tasks, and how
 //! much is residual waiting? Also reports creation-to-start queue
@@ -16,22 +17,22 @@ use bots::{run_app, AppId, RunOpts, Scale};
 use cube::{format_ns, AggProfile};
 use std::collections::HashMap;
 use taskprof_session::MeasurementSession;
-use taskprof_trace::{analyze, TraceMonitor};
+use taskprof_trace::{analyze, Trace};
 
 fn main() {
-    let tracer = TraceMonitor::new();
     let session = MeasurementSession::builder("trace-analysis")
         .threads(4)
+        .record_task_edges()
         .build()
-        .expect("default session configuration is valid")
-        .observed_by(&tracer);
+        .expect("default session configuration is valid");
     let opts = RunOpts::new(4).scale(Scale::Small);
     let out = run_app(AppId::SparseLu, session.monitor(), &opts);
     assert!(out.verified);
     println!("sparselu, 4 threads, kernel {:?}\n", out.kernel);
 
     // What the profile can say: barrier/taskwait time minus stub time.
-    let agg = AggProfile::from_profile(&session.finish().profile);
+    let report = session.finish();
+    let agg = AggProfile::from_profile(&report.profile);
     let sched_excl = cube::region_excl_by_kind(&agg, pomp::RegionKind::ImplicitBarrier)
         + cube::region_excl_by_kind(&agg, pomp::RegionKind::Taskwait);
     println!(
@@ -41,7 +42,12 @@ fn main() {
     println!("               ...but it cannot tell management from waiting.\n");
 
     // What the trace adds.
-    let trace = tracer.take_trace();
+    let trace = Trace::from_edge_streams(
+        report
+            .edge_streams
+            .as_deref()
+            .expect("the session records task edges"),
+    );
     let a = analyze(&trace);
     println!("trace view   ({} events):", trace.len());
     for b in &a.by_kind {

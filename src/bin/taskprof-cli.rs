@@ -113,7 +113,7 @@ use cube::{
 };
 use std::sync::Arc;
 use taskprof_session::MeasurementSession;
-use taskprof_trace::{analyze, TraceMonitor};
+use taskprof_trace::{analyze, Trace};
 use taskrt::Team;
 
 fn usage() -> ! {
@@ -197,16 +197,15 @@ fn cmd_run(args: &[String]) {
         diag = true;
     }
 
-    let session = MeasurementSession::builder("taskprof-cli")
-        .threads(opts.threads)
-        .build()
-        .expect("default session configuration is valid");
-    let tracer = TraceMonitor::new();
-    let out = if trace_on {
-        run_app(app, &(&tracer, session.monitor()), &opts)
+    let builder = MeasurementSession::builder("taskprof-cli").threads(opts.threads);
+    let session = if trace_on {
+        builder.record_task_edges()
     } else {
-        run_app(app, session.monitor(), &opts)
-    };
+        builder
+    }
+    .build()
+    .expect("default session configuration is valid");
+    let out = run_app(app, session.monitor(), &opts);
     println!(
         "# {} scale={:?} threads={} variant={:?}: kernel {:?}, checksum {}, verified {}",
         app.name(),
@@ -217,7 +216,8 @@ fn cmd_run(args: &[String]) {
         out.checksum,
         out.verified
     );
-    let profile = session.finish().profile;
+    let report = session.finish();
+    let profile = report.profile;
     let agg = AggProfile::from_profile(&profile);
 
     if render {
@@ -250,8 +250,8 @@ fn cmd_run(args: &[String]) {
             }
         }
     }
-    if trace_on {
-        let trace = tracer.take_trace();
+    if let Some(streams) = report.edge_streams {
+        let trace = Trace::from_edge_streams(&streams);
         let a = analyze(&trace);
         println!("\ntrace analysis ({} events):", trace.len());
         println!(

@@ -1,21 +1,33 @@
-//! Tracer attached to real runtime workloads — consistency between the
-//! trace, the profile, and the workload's ground truth.
+//! Traces of real runtime workloads, built from the profiler's edge log —
+//! consistency between the trace, the profile, and the workload's ground
+//! truth.
 
 use bots::{run_app, AppId, RunOpts, Scale};
 use pomp::TaskRef;
 use taskprof::ProfMonitor;
-use taskprof_trace::{analyze, EventKind, TraceMonitor};
+use taskprof_trace::{analyze, EventKind, Trace};
+
+/// A profiler that also records its edge log, for [`trace_of`].
+fn recording_profiler() -> ProfMonitor {
+    ProfMonitor::builder()
+        .record_task_edges()
+        .build()
+        .expect("default limits are valid")
+}
+
+fn trace_of(profiler: &ProfMonitor) -> Trace {
+    Trace::from_edge_streams(&profiler.take_edge_streams().expect("no region in flight"))
+}
 
 #[test]
 fn trace_is_balanced_and_counts_match_profile() {
-    let profiler = ProfMonitor::new();
-    let tracer = TraceMonitor::new();
+    let profiler = recording_profiler();
     let opts = RunOpts::new(2).scale(Scale::Test);
-    let out = run_app(AppId::Fib, &(&profiler, &tracer), &opts);
+    let out = run_app(AppId::Fib, &profiler, &opts);
     assert!(out.verified);
 
     let profile = profiler.take_profile().expect("no region in flight");
-    let trace = tracer.take_trace();
+    let trace = trace_of(&profiler);
     assert_eq!(trace.nthreads, 2);
 
     // Per-thread: enters and exits balance, begins equal ends.
@@ -64,11 +76,11 @@ fn trace_is_balanced_and_counts_match_profile() {
 
 #[test]
 fn analysis_of_real_run_is_consistent() {
-    let tracer = TraceMonitor::new();
+    let profiler = recording_profiler();
     let opts = RunOpts::new(2).scale(Scale::Test);
-    let out = run_app(AppId::Nqueens, &tracer, &opts);
+    let out = run_app(AppId::Nqueens, &profiler, &opts);
     assert!(out.verified);
-    let trace = tracer.take_trace();
+    let trace = trace_of(&profiler);
     let a = analyze(&trace);
 
     // Every instance completed within the kernel.
@@ -96,10 +108,10 @@ fn analysis_of_real_run_is_consistent() {
 
 #[test]
 fn switch_events_reference_known_tasks() {
-    let tracer = TraceMonitor::new();
+    let profiler = recording_profiler();
     let opts = RunOpts::new(1).scale(Scale::Test);
-    run_app(AppId::Fib, &tracer, &opts);
-    let trace = tracer.take_trace();
+    run_app(AppId::Fib, &profiler, &opts);
+    let trace = trace_of(&profiler);
     let mut seen = std::collections::HashSet::new();
     for e in &trace.events {
         match e.kind {
@@ -116,10 +128,10 @@ fn switch_events_reference_known_tasks() {
 
 #[test]
 fn text_dump_of_real_trace_renders_every_event() {
-    let tracer = TraceMonitor::new();
+    let profiler = recording_profiler();
     let opts = RunOpts::new(1).scale(Scale::Test);
-    run_app(AppId::Alignment, &tracer, &opts);
-    let trace = tracer.take_trace();
+    run_app(AppId::Alignment, &profiler, &opts);
+    let trace = trace_of(&profiler);
     let text = trace.to_text();
     assert_eq!(text.lines().count(), trace.len());
     assert!(text.contains("TASK_BEGIN   alignment_pair"));
