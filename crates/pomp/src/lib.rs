@@ -37,6 +37,6 @@ pub use clock::{Clock, ClockReader, ClockSource, MonotonicClock, MonotonicReader
 pub use counting::{CountingMonitor, EventCounts};
 pub use filter::{FilteredMonitor, RegionFilter};
 pub use hooks::{EventClass, Monitor, NullMonitor, NullThreadHooks, TaskRef, ThreadHooks};
-pub use region::{registry, ParamId, RegionId, RegionInfo, RegionKind, Registry};
+pub use region::{registry, ParamId, RegionId, RegionInfo, RegionKind, Registry, RegistryView};
 pub use task::{TaskId, TaskIdAllocator};
 pub use validate::{Defect, Diagnostic, Repair, ValidatingMonitor, ValidatingThread};

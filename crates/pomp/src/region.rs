@@ -7,7 +7,7 @@
 //! macro caches the id in a per-call-site `OnceLock`, so after the first
 //! call registration is a single atomic load.
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
@@ -119,9 +119,16 @@ pub struct RegionInfo {
 #[derive(Default)]
 struct Inner {
     regions: Vec<RegionInfo>,
-    by_key: HashMap<(String, RegionKind), RegionId>,
+    /// Keyed by kind first, so a `&str` name looks up without allocating.
+    by_key: HashMap<RegionKind, HashMap<String, RegionId>>,
     params: Vec<String>,
     params_by_name: HashMap<String, ParamId>,
+}
+
+impl Inner {
+    fn find(&self, name: &str, kind: RegionKind) -> Option<RegionId> {
+        self.by_key.get(&kind)?.get(name).copied()
+    }
 }
 
 /// Global region registry.
@@ -148,11 +155,11 @@ impl Registry {
         file: &'static str,
         line: u32,
     ) -> RegionId {
-        if let Some(&id) = self.inner.read().by_key.get(&(name.to_owned(), kind)) {
+        if let Some(id) = self.inner.read().find(name, kind) {
             return id;
         }
         let mut inner = self.inner.write();
-        if let Some(&id) = inner.by_key.get(&(name.to_owned(), kind)) {
+        if let Some(id) = inner.find(name, kind) {
             return id;
         }
         let id = RegionId(u32::try_from(inner.regions.len()).expect("region table overflow"));
@@ -162,7 +169,11 @@ impl Registry {
             file,
             line,
         });
-        inner.by_key.insert((name.to_owned(), kind), id);
+        inner
+            .by_key
+            .entry(kind)
+            .or_default()
+            .insert(name.to_owned(), id);
         id
     }
 
@@ -186,8 +197,8 @@ impl Registry {
         self.inner.read().regions[id.index()].clone()
     }
 
-    /// Display name for `id` (allocates; renderers should batch via
-    /// [`Registry::info`] when formatting whole trees).
+    /// Display name for `id` (allocates; code that names whole trees
+    /// should borrow through one [`Registry::view`]).
     pub fn name(&self, id: RegionId) -> String {
         self.inner.read().regions[id.index()].name.clone()
     }
@@ -214,7 +225,34 @@ impl Registry {
 
     /// Look up an already-registered region by name and kind.
     pub fn lookup(&self, name: &str, kind: RegionKind) -> Option<RegionId> {
-        self.inner.read().by_key.get(&(name.to_owned(), kind)).copied()
+        self.inner.read().find(name, kind)
+    }
+
+    /// Borrow names and metadata under one read lock, without cloning.
+    /// Registering while the view is alive deadlocks the calling thread;
+    /// drop the view first.
+    pub fn view(&self) -> RegistryView<'_> {
+        RegistryView(self.inner.read())
+    }
+}
+
+/// A read-locked view of a [`Registry`] (see [`Registry::view`]).
+pub struct RegistryView<'a>(RwLockReadGuard<'a, Inner>);
+
+impl RegistryView<'_> {
+    /// Metadata for `id`. Panics on an id from a different registry.
+    pub fn info(&self, id: RegionId) -> &RegionInfo {
+        &self.0.regions[id.index()]
+    }
+
+    /// Display name for `id`.
+    pub fn name(&self, id: RegionId) -> &str {
+        &self.0.regions[id.index()].name
+    }
+
+    /// Name of an interned parameter.
+    pub fn param_name(&self, id: ParamId) -> &str {
+        &self.0.params[id.0 as usize]
     }
 }
 
@@ -296,6 +334,18 @@ mod tests {
         let id = r.register("y", RegionKind::Task, "f", 1);
         assert_eq!(r.lookup("y", RegionKind::Task), Some(id));
         assert!(r.lookup("y", RegionKind::Function).is_none());
+    }
+
+    #[test]
+    fn view_borrows_names_and_metadata() {
+        let r = Registry::new();
+        let a = r.register("v", RegionKind::Task, "f", 3);
+        let p = r.register_param("depth");
+        let view = r.view();
+        assert_eq!(view.name(a), "v");
+        assert_eq!(view.info(a).kind, RegionKind::Task);
+        assert_eq!(view.info(a).line, 3);
+        assert_eq!(view.param_name(p), "depth");
     }
 
     #[test]

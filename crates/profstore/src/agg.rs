@@ -3,14 +3,19 @@
 //! `cube::agg` merges the threads of *one* run; this module folds *many
 //! runs* of the same benchmark into one aggregate: per-construct
 //! min/max/mean/sum over runs (the paper's per-node statistics, lifted
-//! one level up), plus a structurally merged call tree reusing
-//! [`cube::merge_nodes`]. The fold is strictly one-run-at-a-time so the
-//! store's streaming merge never holds more than one decoded profile.
+//! one level up), plus a structurally merged call tree. The fold is
+//! strictly one-run-at-a-time so the store's streaming merge never holds
+//! more than one decoded profile, and it walks each thread tree once:
+//! every thread's main and task trees merge straight into the group's
+//! trees in place (the same child order and statistics as the
+//! thread-merge-then-`cube::merge_nodes` composition), while the same
+//! walk sums the run's per-construct totals by node identity. Names are
+//! resolved once per distinct construct per run, after the walk.
 
-use cube::{merge_nodes, AggProfile};
-use pomp::registry;
+use pomp::{registry, RegistryView};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use taskprof::{NodeKind, Profile, SnapNode};
+use taskprof::{NodeKind, Profile, SnapNode, Stats};
 
 /// min/max/mean/sum of one metric over runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,34 +84,112 @@ pub struct RunSummary {
     pub regions: BTreeMap<String, u64>,
 }
 
-fn node_key(kind: NodeKind) -> Option<String> {
-    let reg = registry();
-    match kind {
-        NodeKind::Region(id) => Some(reg.name(id)),
-        NodeKind::Stub(id) => Some(format!("{} (stub)", reg.name(id))),
-        NodeKind::Param(..) | NodeKind::Truncated => None,
+/// A run's total: the thread main roots' inclusive time, summed. Equal
+/// by construction to the root of the thread-merged main tree.
+pub(crate) fn run_total_ns(profile: &Profile) -> u64 {
+    profile.threads.iter().map(|t| t.main.stats.sum_ns).sum()
+}
+
+/// Per-construct totals of one run, gathered by node identity during the
+/// tree walk; display names are resolved afterwards, once per distinct
+/// construct.
+#[derive(Default)]
+struct RunTotals {
+    /// `(identity code, inclusive ns)` per visited named node.
+    by_kind: Vec<(u64, u64)>,
+}
+
+impl RunTotals {
+    fn add(&mut self, node: &SnapNode) {
+        let code = match node.kind {
+            NodeKind::Region(id) => u64::from(id.0) << 1,
+            NodeKind::Stub(id) => u64::from(id.0) << 1 | 1,
+            NodeKind::Param(..) | NodeKind::Truncated => return,
+        };
+        self.by_kind.push((code, node.stats.sum_ns));
+    }
+
+    fn add_tree(&mut self, tree: &SnapNode) {
+        tree.walk(&mut |_, node| self.add(node));
+    }
+
+    /// `(display key, inclusive ns)` per construct, ascending by key.
+    /// Constructs sharing a display name (two region kinds of one name)
+    /// sum into one key, as they do in [`RunSummary::regions`].
+    fn by_key<'r>(mut self, reg: &'r RegistryView<'_>) -> Vec<(Cow<'r, str>, u64)> {
+        self.by_kind.sort_unstable_by_key(|&(code, _)| code);
+        let mut keyed: Vec<(Cow<'r, str>, u64)> = Vec::new();
+        let mut last = None;
+        for (code, ns) in self.by_kind {
+            if last == Some(code) {
+                keyed.last_mut().expect("code seen").1 += ns;
+                continue;
+            }
+            last = Some(code);
+            let name = reg.name(pomp::RegionId((code >> 1) as u32));
+            let key = if code & 1 == 0 {
+                Cow::Borrowed(name)
+            } else {
+                Cow::Owned(format!("{name} (stub)"))
+            };
+            keyed.push((key, ns));
+        }
+        keyed.sort_by(|a, b| a.0.cmp(&b.0));
+        keyed.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        keyed
     }
 }
 
-fn accumulate(tree: &SnapNode, into: &mut BTreeMap<String, u64>) {
-    tree.walk(&mut |_, node| {
-        if let Some(key) = node_key(node.kind) {
-            *into.entry(key).or_insert(0) += node.stats.sum_ns;
-        }
-    });
+fn empty_node(kind: NodeKind) -> SnapNode {
+    SnapNode {
+        kind,
+        stats: Stats::new(),
+        children: Vec::new(),
+    }
+}
+
+/// Merge `src` into `acc` in place (statistics folded, children matched
+/// by identity in first-appearance order), counting every `src` node
+/// into `totals` on the way.
+fn merge_into(acc: &mut SnapNode, src: &SnapNode, totals: &mut RunTotals) {
+    acc.stats.merge(&src.stats);
+    totals.add(src);
+    for child in &src.children {
+        let i = match acc.children.iter().position(|c| c.kind == child.kind) {
+            Some(i) => i,
+            None => {
+                acc.children.push(empty_node(child.kind));
+                acc.children.len() - 1
+            }
+        };
+        merge_into(&mut acc.children[i], child, totals);
+    }
 }
 
 impl RunSummary {
     /// Reduce one profile.
     pub fn from_profile(p: &Profile) -> Self {
-        let agg = AggProfile::from_profile(p);
-        let mut regions = BTreeMap::new();
-        accumulate(&agg.main, &mut regions);
-        for tree in &agg.task_trees {
-            accumulate(tree, &mut regions);
+        let mut totals = RunTotals::default();
+        for t in &p.threads {
+            totals.add_tree(&t.main);
+            for tree in &t.task_trees {
+                totals.add_tree(tree);
+            }
         }
+        let reg = registry().view();
+        let regions = totals
+            .by_key(&reg)
+            .into_iter()
+            .map(|(key, ns)| (key.into_owned(), ns))
+            .collect();
         Self {
-            total_ns: agg.main.stats.sum_ns,
+            total_ns: run_total_ns(p),
             regions,
         }
     }
@@ -140,34 +223,52 @@ impl BenchAgg {
         Self::default()
     }
 
-    /// Fold one run.
+    /// Fold one run: one walk over each thread tree merges it into the
+    /// group's trees and sums the run's per-construct totals.
     pub fn fold(&mut self, profile: &Profile) {
-        let summary = RunSummary::from_profile(profile);
-        self.fold_summary_and_trees(&summary, profile);
-    }
-
-    fn fold_summary_and_trees(&mut self, summary: &RunSummary, profile: &Profile) {
-        self.runs += 1;
-        self.total_ns.fold(summary.total_ns);
-        for (key, ns) in &summary.regions {
-            self.regions.entry(key.clone()).or_default().fold(*ns);
-        }
-        let agg = AggProfile::from_profile(profile);
-        match &mut self.merged_main {
-            None => {
-                self.merged_main = Some(agg.main.clone());
-                self.merged_tasks = agg.task_trees.clone();
+        let mut totals = RunTotals::default();
+        // The run's root construct is its first thread's, as in a
+        // thread-merged tree.
+        let merge = match (profile.threads.first(), &self.merged_main) {
+            (None, _) => false,
+            (Some(t), None) => {
+                self.merged_main = Some(empty_node(t.main.kind));
+                self.merged_tasks.clear();
+                true
             }
-            Some(main) if main.kind == agg.main.kind => {
-                *main = merge_nodes(&[&*main, &agg.main]);
-                for tree in &agg.task_trees {
-                    match self.merged_tasks.iter_mut().find(|t| t.kind == tree.kind) {
-                        Some(existing) => *existing = merge_nodes(&[&*existing, tree]),
-                        None => self.merged_tasks.push(tree.clone()),
+            (Some(t), Some(main)) if main.kind == t.main.kind => true,
+            (Some(_), Some(_)) => {
+                self.tree_mismatches += 1;
+                false
+            }
+        };
+        for t in &profile.threads {
+            if !merge {
+                totals.add_tree(&t.main);
+                t.task_trees.iter().for_each(|tree| totals.add_tree(tree));
+                continue;
+            }
+            let main = self.merged_main.as_mut().expect("merge target set above");
+            merge_into(main, &t.main, &mut totals);
+            for tree in &t.task_trees {
+                let i = match self.merged_tasks.iter().position(|m| m.kind == tree.kind) {
+                    Some(i) => i,
+                    None => {
+                        self.merged_tasks.push(empty_node(tree.kind));
+                        self.merged_tasks.len() - 1
                     }
-                }
+                };
+                merge_into(&mut self.merged_tasks[i], tree, &mut totals);
             }
-            Some(_) => self.tree_mismatches += 1,
+        }
+        self.runs += 1;
+        self.total_ns.fold(run_total_ns(profile));
+        let reg = registry().view();
+        for (key, ns) in totals.by_key(&reg) {
+            match self.regions.get_mut(key.as_ref()) {
+                Some(agg) => agg.fold(ns),
+                None => self.regions.entry(key.into_owned()).or_default().fold(ns),
+            }
         }
     }
 

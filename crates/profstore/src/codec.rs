@@ -5,14 +5,19 @@
 //! segment layer (not this module) frames the payload with a length word
 //! and a CRC-32. Region and parameter names are stored by name (+kind)
 //! and re-interned on decode, exactly like the text store, so records
-//! written by one process are readable by any other.
+//! written by one process are readable by any other. Encode borrows every
+//! name under one registry read; a [`RecordDecoder`] reads names as
+//! borrowed `&str` and resolves each distinct (kind, name) once per
+//! decode stream, so a stream of records allocates nothing per node to
+//! name it.
 //!
 //! The `Stats` no-samples minimum keeps the text-format convention: the
 //! in-memory `u64::MAX` sentinel is encoded as 0 and restored on decode
 //! (which also keeps the varint short).
 
 use crate::crc::crc32;
-use pomp::{registry, RegionKind};
+use pomp::{registry, ParamId, RegionId, RegionKind, RegistryView};
+use std::collections::HashMap;
 use taskprof::{NodeKind, Profile, SnapNode, Stats, ThreadSnapshot};
 
 /// Current payload format version (the first payload byte).
@@ -141,15 +146,14 @@ impl<'a> Reader<'a> {
 
     /// Read a length-prefixed UTF-8 string (see [`put_str`]).
     pub fn str(&mut self) -> Result<String, CodecError> {
+        self.str_ref().map(str::to_string)
+    }
+
+    /// Read a length-prefixed UTF-8 string, borrowed from the payload.
+    pub fn str_ref(&mut self) -> Result<&'a str, CodecError> {
         let len = self.uv()? as usize;
-        if len > self.buf.len().saturating_sub(self.pos) {
-            return Err(CodecError::Truncated);
-        }
-        let s = std::str::from_utf8(&self.buf[self.pos..self.pos + len])
-            .map_err(|_| CodecError::Malformed("non-utf8 string"))?
-            .to_string();
-        self.pos += len;
-        Ok(s)
+        let bytes = self.bytes(len)?;
+        std::str::from_utf8(bytes).map_err(|_| CodecError::Malformed("non-utf8 string"))
     }
 
     /// True when every byte has been consumed.
@@ -238,8 +242,7 @@ fn read_stats(r: &mut Reader<'_>) -> Result<Stats, CodecError> {
     Ok(s)
 }
 
-fn put_node(out: &mut Vec<u8>, node: &SnapNode) {
-    let reg = registry();
+fn put_node(out: &mut Vec<u8>, reg: &RegistryView<'_>, node: &SnapNode) {
     match node.kind {
         NodeKind::Region(id) => {
             out.push(TAG_REGION);
@@ -249,11 +252,11 @@ fn put_node(out: &mut Vec<u8>, node: &SnapNode) {
         }
         NodeKind::Stub(id) => {
             out.push(TAG_STUB);
-            put_str(out, &reg.name(id));
+            put_str(out, reg.name(id));
         }
         NodeKind::Param(p, v) => {
             out.push(TAG_PARAM);
-            put_str(out, &reg.param_name(p));
+            put_str(out, reg.param_name(p));
             put_iv(out, v);
         }
         NodeKind::Truncated => out.push(TAG_TRUNCATED),
@@ -261,45 +264,137 @@ fn put_node(out: &mut Vec<u8>, node: &SnapNode) {
     put_stats(out, &node.stats);
     put_uv(out, node.children.len() as u64);
     for c in &node.children {
-        put_node(out, c);
+        put_node(out, reg, c);
     }
 }
 
-fn read_node(r: &mut Reader<'_>, depth: usize) -> Result<SnapNode, CodecError> {
-    if depth > 4096 {
-        return Err(CodecError::Malformed("tree deeper than 4096"));
+/// Ids one stored name resolved to, per use: a region of each kind (a
+/// stub interns as a [`RegionKind::Task`] region) and a parameter.
+#[derive(Default)]
+struct NameIds {
+    regions: [Option<RegionId>; 11],
+    param: Option<ParamId>,
+}
+
+/// Decodes a stream of record payloads, resolving each distinct stored
+/// (kind, name) against the global registry once for the whole stream.
+/// Names are read as `&str` borrowed from the payload; only a name not
+/// seen before in this stream is copied (into the decoder's table).
+#[derive(Default)]
+pub struct RecordDecoder {
+    names: HashMap<String, NameIds>,
+}
+
+impl RecordDecoder {
+    /// A decoder with an empty name table.
+    pub fn new() -> Self {
+        Self::default()
     }
-    let reg = registry();
-    let kind = match r.byte()? {
-        TAG_REGION => {
-            let k = kind_from_u8(r.byte()?).ok_or(CodecError::Malformed("bad region kind"))?;
-            let name = r.str()?;
-            NodeKind::Region(reg.register(&name, k, "loaded", 0))
+
+    fn region(&mut self, name: &str, kind: RegionKind) -> RegionId {
+        let k = usize::from(kind_to_u8(kind));
+        if let Some(id) = self.names.get(name).and_then(|ids| ids.regions[k]) {
+            return id;
         }
-        TAG_STUB => NodeKind::Stub(reg.register(&r.str()?, RegionKind::Task, "loaded", 0)),
-        TAG_PARAM => {
-            let name = r.str()?;
-            let v = r.iv()?;
-            NodeKind::Param(reg.register_param(&name), v)
+        let id = registry().register(name, kind, "loaded", 0);
+        self.names.entry(name.to_owned()).or_default().regions[k] = Some(id);
+        id
+    }
+
+    fn param(&mut self, name: &str) -> ParamId {
+        if let Some(id) = self.names.get(name).and_then(|ids| ids.param) {
+            return id;
         }
-        TAG_TRUNCATED => NodeKind::Truncated,
-        _ => return Err(CodecError::Malformed("unknown node tag")),
-    };
-    let stats = read_stats(r)?;
-    let nchildren = r.uv()? as usize;
-    if nchildren > r.buf.len() - r.pos {
-        // Each child costs at least one byte; anything larger is garbage.
-        return Err(CodecError::Truncated);
+        let id = registry().register_param(name);
+        self.names.entry(name.to_owned()).or_default().param = Some(id);
+        id
     }
-    let mut children = Vec::with_capacity(nchildren);
-    for _ in 0..nchildren {
-        children.push(read_node(r, depth + 1)?);
+
+    fn node(&mut self, r: &mut Reader<'_>, depth: usize) -> Result<SnapNode, CodecError> {
+        if depth > 4096 {
+            return Err(CodecError::Malformed("tree deeper than 4096"));
+        }
+        let kind = match r.byte()? {
+            TAG_REGION => {
+                let k = kind_from_u8(r.byte()?).ok_or(CodecError::Malformed("bad region kind"))?;
+                NodeKind::Region(self.region(r.str_ref()?, k))
+            }
+            TAG_STUB => NodeKind::Stub(self.region(r.str_ref()?, RegionKind::Task)),
+            TAG_PARAM => {
+                let id = self.param(r.str_ref()?);
+                NodeKind::Param(id, r.iv()?)
+            }
+            TAG_TRUNCATED => NodeKind::Truncated,
+            _ => return Err(CodecError::Malformed("unknown node tag")),
+        };
+        let stats = read_stats(r)?;
+        let nchildren = r.uv()? as usize;
+        if nchildren > r.remaining() {
+            // Each child costs at least one byte; anything larger is garbage.
+            return Err(CodecError::Truncated);
+        }
+        let mut children = Vec::with_capacity(nchildren);
+        for _ in 0..nchildren {
+            children.push(self.node(r, depth + 1)?);
+        }
+        Ok(SnapNode {
+            kind,
+            stats,
+            children,
+        })
     }
-    Ok(SnapNode {
-        kind,
-        stats,
-        children,
-    })
+
+    /// Decode one record payload produced by [`encode_record`].
+    pub fn decode(&mut self, payload: &[u8]) -> Result<(RunMeta, Profile), CodecError> {
+        let mut r = Reader::new(payload);
+        let meta = read_meta(&mut r)?;
+        let nthreads = r.uv()? as usize;
+        if nthreads > payload.len() {
+            return Err(CodecError::Truncated);
+        }
+        let mut threads = Vec::with_capacity(nthreads);
+        for _ in 0..nthreads {
+            let tid = r.uv()? as usize;
+            let max_live_trees = r.uv()? as usize;
+            let arena_capacity = r.uv()? as usize;
+            let shed_instances = r.uv()?;
+            let ndiag = r.uv()? as usize;
+            if ndiag > payload.len() {
+                return Err(CodecError::Truncated);
+            }
+            let mut diagnostics = Vec::with_capacity(ndiag);
+            for _ in 0..ndiag {
+                diagnostics.push(r.str()?);
+            }
+            let main = self.node(&mut r, 0)?;
+            let ntrees = r.uv()? as usize;
+            if ntrees > payload.len() {
+                return Err(CodecError::Truncated);
+            }
+            let mut task_trees = Vec::with_capacity(ntrees);
+            for _ in 0..ntrees {
+                task_trees.push(self.node(&mut r, 0)?);
+            }
+            let parallel_region = match main.kind {
+                NodeKind::Region(id) => id,
+                _ => pomp::RegionId(0),
+            };
+            threads.push(ThreadSnapshot {
+                tid,
+                parallel_region,
+                main,
+                task_trees,
+                max_live_trees,
+                arena_capacity,
+                shed_instances,
+                diagnostics,
+            });
+        }
+        if !r.done() {
+            return Err(CodecError::Malformed("trailing bytes after profile"));
+        }
+        Ok((meta, Profile { threads }))
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -310,6 +405,7 @@ fn read_node(r: &mut Reader<'_>, depth: usize) -> Result<SnapNode, CodecError> {
 /// framing excluded). The CRC-32 of the returned bytes is what the
 /// segment layer stores alongside.
 pub fn encode_record(meta: &RunMeta, profile: &Profile) -> Vec<u8> {
+    let reg = registry().view();
     let mut out = Vec::with_capacity(256);
     out.push(CODEC_VERSION);
     put_uv(&mut out, meta.run_id);
@@ -326,19 +422,16 @@ pub fn encode_record(meta: &RunMeta, profile: &Profile) -> Vec<u8> {
         for d in &t.diagnostics {
             put_str(&mut out, d);
         }
-        put_node(&mut out, &t.main);
+        put_node(&mut out, &reg, &t.main);
         put_uv(&mut out, t.task_trees.len() as u64);
         for tree in &t.task_trees {
-            put_node(&mut out, tree);
+            put_node(&mut out, &reg, tree);
         }
     }
     out
 }
 
-/// Decode only the [`RunMeta`] header of a record payload — what index
-/// rebuilding needs, without materializing the profile.
-pub fn decode_meta(payload: &[u8]) -> Result<RunMeta, CodecError> {
-    let mut r = Reader::new(payload);
+fn read_meta(r: &mut Reader<'_>) -> Result<RunMeta, CodecError> {
     match r.byte()? {
         CODEC_VERSION => {}
         v => return Err(CodecError::BadVersion(v)),
@@ -351,65 +444,16 @@ pub fn decode_meta(payload: &[u8]) -> Result<RunMeta, CodecError> {
     })
 }
 
-/// Decode one record payload produced by [`encode_record`].
+/// Decode only the [`RunMeta`] header of a record payload — what index
+/// rebuilding needs, without materializing the profile.
+pub fn decode_meta(payload: &[u8]) -> Result<RunMeta, CodecError> {
+    read_meta(&mut Reader::new(payload))
+}
+
+/// Decode one record payload produced by [`encode_record`]. A stream of
+/// records decodes cheaper through one [`RecordDecoder`].
 pub fn decode_record(payload: &[u8]) -> Result<(RunMeta, Profile), CodecError> {
-    let mut r = Reader::new(payload);
-    match r.byte()? {
-        CODEC_VERSION => {}
-        v => return Err(CodecError::BadVersion(v)),
-    }
-    let meta = RunMeta {
-        run_id: r.uv()?,
-        benchmark: r.str()?,
-        threads: u32::try_from(r.uv()?).map_err(|_| CodecError::Malformed("threads overflow"))?,
-        timestamp_ns: r.uv()?,
-    };
-    let nthreads = r.uv()? as usize;
-    if nthreads > payload.len() {
-        return Err(CodecError::Truncated);
-    }
-    let mut threads = Vec::with_capacity(nthreads);
-    for _ in 0..nthreads {
-        let tid = r.uv()? as usize;
-        let max_live_trees = r.uv()? as usize;
-        let arena_capacity = r.uv()? as usize;
-        let shed_instances = r.uv()?;
-        let ndiag = r.uv()? as usize;
-        if ndiag > payload.len() {
-            return Err(CodecError::Truncated);
-        }
-        let mut diagnostics = Vec::with_capacity(ndiag);
-        for _ in 0..ndiag {
-            diagnostics.push(r.str()?);
-        }
-        let main = read_node(&mut r, 0)?;
-        let ntrees = r.uv()? as usize;
-        if ntrees > payload.len() {
-            return Err(CodecError::Truncated);
-        }
-        let mut task_trees = Vec::with_capacity(ntrees);
-        for _ in 0..ntrees {
-            task_trees.push(read_node(&mut r, 0)?);
-        }
-        let parallel_region = match main.kind {
-            NodeKind::Region(id) => id,
-            _ => pomp::RegionId(0),
-        };
-        threads.push(ThreadSnapshot {
-            tid,
-            parallel_region,
-            main,
-            task_trees,
-            max_live_trees,
-            arena_capacity,
-            shed_instances,
-            diagnostics,
-        });
-    }
-    if !r.done() {
-        return Err(CodecError::Malformed("trailing bytes after profile"));
-    }
-    Ok((meta, Profile { threads }))
+    RecordDecoder::new().decode(payload)
 }
 
 /// CRC-32 of a payload, re-exported here so callers frame records without

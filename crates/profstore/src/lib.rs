@@ -17,11 +17,14 @@
 //!   per-benchmark cross-run aggregates.
 //! * [`merge`] — a streaming k-way merge over per-segment cursors, so
 //!   aggregation visits runs one at a time in (timestamp, run id) order
-//!   and never materializes every profile at once.
+//!   and never materializes every profile at once. Each cursor reads its
+//!   segment through a bounded [`FrameWindow`] (≤64 KiB per refill), so
+//!   neighbouring records cost one read, not two file opens each.
 //! * [`agg`] — the cross-run statistics themselves: min/max/mean/sum of
-//!   the paper's per-construct metrics over runs (reusing `cube::agg`
-//!   for the structural tree merge), plus the regression check a serving
-//!   daemon runs against a freshly ingested profile.
+//!   the paper's per-construct metrics over runs plus a structurally
+//!   merged call tree, folded in place one thread tree at a time, and the
+//!   regression check a serving daemon runs against a freshly ingested
+//!   profile.
 //! * [`io`] — the injectable I/O seam: every file operation goes through
 //!   a [`StoreIo`] handle ([`RealIo`] in production, a zero-cost
 //!   passthrough), so [`FaultIo`] can deterministically inject short
@@ -57,14 +60,14 @@ mod store;
 pub use agg::{BenchAgg, MetricAgg, RegressConfig, Regression, RegressionFinding, RunSummary};
 pub use codec::{
     decode_meta, decode_record, encode_record, put_iv, put_str, put_uv, CodecError,
-    Reader as PayloadReader, RunMeta, CODEC_VERSION, MAX_RECORD_BYTES,
+    Reader as PayloadReader, RecordDecoder, RunMeta, CODEC_VERSION, MAX_RECORD_BYTES,
 };
 pub use io::{
     is_enospc, FaultHandle, FaultIo, FaultKind, FaultMode, FaultPlan, RealIo, StoreFile, StoreIo,
 };
 pub use merge::KWayMerge;
 pub use repo::Repo;
-pub use segment::{SegmentReader, SegmentWriter, RECORD_HEADER_BYTES, SEGMENT_MAGIC};
+pub use segment::{FrameWindow, SegmentReader, SegmentWriter, RECORD_HEADER_BYTES, SEGMENT_MAGIC};
 pub use shard::ShardedStore;
 pub use store::{
     ExportBatch, GcReport, IndexEntry, IngestReceipt, ProfileStore, RetentionPolicy, RunWindow,

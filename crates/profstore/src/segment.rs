@@ -12,6 +12,8 @@
 //! record, so after a crash the file is a valid prefix plus at most one
 //! torn frame. [`SegmentReader::scan`] validates every frame and reports
 //! where the valid prefix ends so the store can truncate the tail on open.
+//! Indexed reads go through a [`FrameWindow`], which serves neighbouring
+//! frames from one bounded positioned read and checks each like the scan.
 //!
 //! Every file operation goes through a [`StoreIo`] handle so the fault
 //! injector ([`crate::FaultIo`]) can tear or fail any of them; production
@@ -124,27 +126,86 @@ impl SegmentReader {
             tail_defect,
         })
     }
+}
 
-    /// Read the single record at `offset` (as recorded in a store index).
-    pub fn read_at(io: &dyn StoreIo, path: &Path, offset: u64) -> std::io::Result<Option<Vec<u8>>> {
-        let lenbuf = io.read_range(path, offset, 4)?;
-        if lenbuf.len() < 4 {
+/// Positioned reads of indexed frames from one segment through a bounded
+/// window: one [`StoreIo::read_range`] fills the window with a run of
+/// neighbouring frames, and every frame inside it is then served from
+/// memory. Each served frame is checked exactly like a scan checks it
+/// (length word within [`MAX_RECORD_BYTES`], complete frame, CRC).
+pub struct FrameWindow {
+    path: PathBuf,
+    /// File offset of `buf[0]`.
+    start: u64,
+    buf: Vec<u8>,
+}
+
+impl FrameWindow {
+    /// Most bytes one refill reads, unless a single frame is larger.
+    pub const MAX_BYTES: u64 = 64 << 10;
+
+    /// An empty window over the segment at `path`.
+    pub fn new(path: PathBuf) -> Self {
+        Self {
+            path,
+            start: 0,
+            buf: Vec::new(),
+        }
+    }
+
+    fn holds(&self, offset: u64, len: u64) -> bool {
+        offset >= self.start && offset + len <= self.start + self.buf.len() as u64
+    }
+
+    fn fill(&mut self, io: &dyn StoreIo, offset: u64, len: u64) -> std::io::Result<()> {
+        self.buf = io.read_range(&self.path, offset, len as usize)?;
+        self.start = offset;
+        Ok(())
+    }
+
+    /// The payload of the frame at `offset`, or `None` when the frame is
+    /// short, implausibly long, or fails its CRC. When the frame is not
+    /// inside the current window, the window is refilled from `offset`
+    /// with `span()` bytes — the caller's estimate of this frame plus the
+    /// neighbours it will ask for next (at least the frame itself).
+    pub fn payload_at(
+        &mut self,
+        io: &dyn StoreIo,
+        offset: u64,
+        span: impl FnOnce() -> u64,
+    ) -> std::io::Result<Option<&[u8]>> {
+        if !self.holds(offset, 4) {
+            self.fill(io, offset, span().max(4))?;
+            if !self.holds(offset, 4) {
+                return Ok(None);
+            }
+        }
+        let at = (offset - self.start) as usize;
+        let len = u32::from_le_bytes(self.buf[at..at + 4].try_into().expect("4 bytes")) as u64;
+        if len > MAX_RECORD_BYTES as u64 {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(lenbuf[..4].try_into().expect("4 bytes")) as usize;
-        if len as u64 > MAX_RECORD_BYTES as u64 {
-            return Ok(None);
+        let frame = len + RECORD_HEADER_BYTES;
+        if !self.holds(offset, frame) {
+            self.fill(io, offset, frame)?;
+            if !self.holds(offset, frame) {
+                return Ok(None);
+            }
         }
-        let body = io.read_range(path, offset + 4, len + 4)?;
-        if body.len() < len + 4 {
-            return Ok(None);
-        }
-        let payload = &body[..len];
-        let stored_crc = u32::from_le_bytes(body[len..len + 4].try_into().expect("4 bytes"));
-        if crc32(payload) != stored_crc {
-            return Ok(None);
-        }
-        Ok(Some(payload.to_vec()))
+        let at = (offset - self.start) as usize;
+        let len = len as usize;
+        let payload = &self.buf[at + 4..at + 4 + len];
+        let stored_crc = u32::from_le_bytes(
+            self.buf[at + 4 + len..at + 8 + len]
+                .try_into()
+                .expect("4 bytes"),
+        );
+        Ok((crc32(payload) == stored_crc).then_some(payload))
+    }
+
+    /// Drop the buffered bytes (the window refills on the next read).
+    pub fn release(&mut self) {
+        self.buf = Vec::new();
     }
 }
 
@@ -265,6 +326,12 @@ mod tests {
     use super::*;
     use crate::io::{FaultIo, FaultKind, FaultPlan, RealIo};
 
+    /// One frame read through a fresh window.
+    fn read_at(io: &dyn StoreIo, path: &Path, offset: u64) -> std::io::Result<Option<Vec<u8>>> {
+        let mut window = FrameWindow::new(path.to_path_buf());
+        Ok(window.payload_at(io, offset, || 0)?.map(<[u8]>::to_vec))
+    }
+
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "profstore-seg-{tag}-{}-{:?}",
@@ -292,7 +359,7 @@ mod tests {
         assert_eq!(scan.records[1].payload, b"second, longer record payload");
         assert_eq!(scan.valid_len, w.len());
         assert_eq!(
-            SegmentReader::read_at(&io, &path, b).expect("read_at"),
+            read_at(&io, &path, b).expect("read_at"),
             Some(b"second, longer record payload".to_vec())
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -346,7 +413,7 @@ mod tests {
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.records[0].payload, b"post-recovery record");
         assert_eq!(
-            SegmentReader::read_at(&io, &path, off).expect("read_at"),
+            read_at(&io, &path, off).expect("read_at"),
             Some(b"post-recovery record".to_vec())
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -367,7 +434,7 @@ mod tests {
         let scan = SegmentReader::scan(&io, &path).expect("scan");
         assert_eq!(scan.tail_defect, Some(TailDefect::CrcMismatch));
         assert!(scan.records.is_empty());
-        assert_eq!(SegmentReader::read_at(&io, &path, off).expect("read_at"), None);
+        assert_eq!(read_at(&io, &path, off).expect("read_at"), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -27,14 +27,14 @@
 //! the single-owner starvation the detrimental-pattern literature warns
 //! about is bounded to one shard, not the whole repository.
 
-use crate::agg::BenchAgg;
+use crate::agg::{run_total_ns, BenchAgg};
 use crate::codec::{decode_meta, RunMeta};
 use crate::io::{RealIo, StoreIo};
 use crate::merge::KWayMerge;
 use crate::segment::RECORD_HEADER_BYTES;
 use crate::store::{
-    ExportBatch, GcReport, IndexEntry, IngestReceipt, ProfileStore, RetentionPolicy, RunWindow,
-    StoreConfig, StoreError, StoreStats, TrendBucket,
+    stream_runs, trend_spans, ExportBatch, GcReport, IndexEntry, IngestReceipt, ProfileStore,
+    RetentionPolicy, RunWindow, StoreConfig, StoreError, StoreStats, TrendBucket,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -280,26 +280,34 @@ impl ShardedStore {
         Ok(report)
     }
 
+    /// Every shard locked, in ascending shard order (the one order any
+    /// multi-shard lock is taken in, so it cannot deadlock).
+    fn lock_all(&self) -> Vec<MutexGuard<'_, ProfileStore>> {
+        (0..self.shards.len()).map(|k| self.shard(k)).collect()
+    }
+
     /// Windowed entries of one group in *global* ingest order (run id),
     /// tagged with their shard. The window's `last` tail applies after
     /// the cross-shard sort, matching the single-store semantics.
-    fn window_entries(
-        &self,
+    fn window_entries<'g>(
+        shards: &'g [MutexGuard<'_, ProfileStore>],
         benchmark: &str,
         threads: u32,
         window: &RunWindow,
-    ) -> Vec<(usize, IndexEntry)> {
-        let mut all: Vec<(usize, IndexEntry)> = Vec::new();
-        for k in 0..self.shards.len() {
-            let store = self.shard(k);
-            for e in store.index() {
-                if e.benchmark == benchmark
-                    && e.threads == threads
-                    && window.since_ns.is_none_or(|s| e.timestamp_ns >= s)
-                {
-                    all.push((k, e.clone()));
-                }
-            }
+    ) -> Vec<(usize, &'g IndexEntry)> {
+        let mut all: Vec<(usize, &IndexEntry)> = Vec::new();
+        for (k, store) in shards.iter().enumerate() {
+            all.extend(
+                store
+                    .index()
+                    .iter()
+                    .filter(|e| {
+                        e.benchmark == benchmark
+                            && e.threads == threads
+                            && window.since_ns.is_none_or(|s| e.timestamp_ns >= s)
+                    })
+                    .map(|e| (k, e)),
+            );
         }
         all.sort_by_key(|(_, e)| e.run_id);
         if let Some(last) = window.last {
@@ -309,31 +317,27 @@ impl ShardedStore {
         all
     }
 
-    /// Stream shard-tagged entries in (timestamp, run id) order through
-    /// the k-way merge — one per-shard cursor each, one decoded profile
-    /// at a time, exactly the single-store streaming discipline.
+    /// Stream shard-tagged entries in (timestamp, run id) order: every
+    /// segment of every shard gets one windowed cursor and the k-way
+    /// merge interleaves them, one decoded profile at a time — exactly
+    /// the single-store streaming discipline. The shards stay locked for
+    /// the whole stream, so no GC rewrite moves a frame under it.
     fn stream_entries(
-        &self,
-        entries: Vec<(usize, IndexEntry)>,
-        mut f: impl FnMut(&RunMeta, &Profile),
+        shards: &[MutexGuard<'_, ProfileStore>],
+        entries: &[(usize, &IndexEntry)],
+        f: impl FnMut(&RunMeta, &Profile),
     ) -> Result<(), StoreError> {
-        let mut per_shard: BTreeMap<usize, Vec<(usize, IndexEntry)>> = BTreeMap::new();
-        for item in entries {
-            per_shard.entry(item.0).or_default().push(item);
+        let mut per_shard: Vec<Vec<&IndexEntry>> = vec![Vec::new(); shards.len()];
+        for &(k, e) in entries {
+            per_shard[k].push(e);
         }
-        let sources: Vec<std::vec::IntoIter<(usize, IndexEntry)>> = per_shard
-            .into_values()
-            .map(|mut v| {
-                v.sort_by_key(|(_, e)| (e.timestamp_ns, e.run_id));
-                v.into_iter()
-            })
+        let sources = shards
+            .iter()
+            .zip(per_shard)
+            .filter(|(_, list)| !list.is_empty())
+            .map(|(store, list)| (&**store, list))
             .collect();
-        let merged = KWayMerge::new(sources, |(_, e)| (e.timestamp_ns, e.run_id));
-        for (k, entry) in merged {
-            let (meta, profile) = self.shard(k).load(entry.run_id)?;
-            f(&meta, &profile);
-        }
-        Ok(())
+        stream_runs(sources, f)
     }
 
     /// Cross-run aggregate of a windowed group. A named benchmark lives
@@ -350,9 +354,10 @@ impl ShardedStore {
             let k = Self::route(benchmark, 0, self.shards.len());
             return self.shard(k).aggregate_window(benchmark, threads, window);
         }
-        let entries = self.window_entries(benchmark, threads, window);
+        let shards = self.lock_all();
+        let entries = Self::window_entries(&shards, benchmark, threads, window);
         let mut agg = BenchAgg::default();
-        self.stream_entries(entries, |_, profile| agg.fold(profile))?;
+        Self::stream_entries(&shards, &entries, |_, profile| agg.fold(profile))?;
         Ok(agg)
     }
 
@@ -369,38 +374,18 @@ impl ShardedStore {
             let k = Self::route(benchmark, 0, self.shards.len());
             return self.shard(k).trend(benchmark, threads, window, buckets);
         }
-        let entries = self.window_entries(benchmark, threads, window);
-        if entries.is_empty() || buckets == 0 {
-            return Ok(Vec::new());
-        }
-        let buckets = buckets.min(entries.len());
-        let base = entries.len() / buckets;
-        let extra = entries.len() % buckets;
-        let mut out = Vec::with_capacity(buckets);
-        let mut start = 0;
-        for i in 0..buckets {
-            let len = base + usize::from(i < extra);
-            let span = entries[start..start + len].to_vec();
-            start += len;
-            let mut bucket = TrendBucket {
-                min_ns: u64::MAX,
-                first_timestamp_ns: span.first().map(|(_, e)| e.timestamp_ns).unwrap_or(0),
-                last_timestamp_ns: span.last().map(|(_, e)| e.timestamp_ns).unwrap_or(0),
-                ..TrendBucket::default()
-            };
-            self.stream_entries(span, |_, profile| {
-                let total = crate::agg::RunSummary::from_profile(profile).total_ns;
-                bucket.runs += 1;
-                bucket.sum_ns += total;
-                bucket.min_ns = bucket.min_ns.min(total);
-                bucket.max_ns = bucket.max_ns.max(total);
-            })?;
-            if bucket.runs == 0 {
-                bucket.min_ns = 0;
-            }
-            out.push(bucket);
-        }
-        Ok(out)
+        let shards = self.lock_all();
+        let entries = Self::window_entries(&shards, benchmark, threads, window);
+        trend_spans(entries.len(), buckets)
+            .into_iter()
+            .map(|span| {
+                TrendBucket::reduce(
+                    &entries[span],
+                    |(_, e)| e.timestamp_ns,
+                    |span, add| Self::stream_entries(&shards, span, |_, p| add(run_total_ns(p))),
+                )
+            })
+            .collect()
     }
 
     /// One page of the replication stream in global ascending run-id
@@ -600,9 +585,16 @@ mod tests {
         }
         assert_eq!(follower.len(), leader.len());
         // Every run round-trips byte-identically.
-        for (_, e) in leader.window_entries("bench-0", 2, &RunWindow::default()) {
-            let (lm, lp) = leader.load(e.run_id).expect("leader load");
-            let (fm, fp) = follower.load(e.run_id).expect("follower load");
+        let ids: Vec<u64> = {
+            let shards = leader.lock_all();
+            ShardedStore::window_entries(&shards, "bench-0", 2, &RunWindow::default())
+                .iter()
+                .map(|(_, e)| e.run_id)
+                .collect()
+        };
+        for id in ids {
+            let (lm, lp) = leader.load(id).expect("leader load");
+            let (fm, fp) = follower.load(id).expect("follower load");
             assert_eq!(lm.benchmark, fm.benchmark);
             assert_eq!(lm.timestamp_ns, fm.timestamp_ns);
             assert_eq!(lp.threads[0].main, fp.threads[0].main);

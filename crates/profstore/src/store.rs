@@ -1,11 +1,12 @@
 //! The profile repository: segments + index + recovery + compaction.
 
-use crate::agg::BenchAgg;
-use crate::codec::{decode_meta, decode_record, encode_record, CodecError, RunMeta};
+use crate::agg::{run_total_ns, BenchAgg};
+use crate::codec::{decode_meta, decode_record, encode_record, CodecError, RecordDecoder, RunMeta};
 use crate::io::{RealIo, StoreIo};
 use crate::merge::KWayMerge;
-use crate::segment::{SegmentReader, SegmentWriter, RECORD_HEADER_BYTES};
+use crate::segment::{FrameWindow, SegmentReader, SegmentWriter, RECORD_HEADER_BYTES};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use taskprof::Profile;
@@ -214,6 +215,50 @@ impl TrendBucket {
     pub fn mean_ns(&self) -> u64 {
         self.sum_ns.checked_div(self.runs).unwrap_or(0)
     }
+
+    /// Reduce the runs of `span` (one bucket's entries, ingest order):
+    /// `stream` feeds `add` each run's total.
+    pub(crate) fn reduce<E>(
+        span: &[E],
+        timestamp_ns: impl Fn(&E) -> u64,
+        stream: impl FnOnce(&[E], &mut dyn FnMut(u64)) -> Result<(), StoreError>,
+    ) -> Result<Self, StoreError> {
+        let mut bucket = TrendBucket {
+            min_ns: u64::MAX,
+            first_timestamp_ns: span.first().map(&timestamp_ns).unwrap_or(0),
+            last_timestamp_ns: span.last().map(&timestamp_ns).unwrap_or(0),
+            ..TrendBucket::default()
+        };
+        stream(span, &mut |total| {
+            bucket.runs += 1;
+            bucket.sum_ns += total;
+            bucket.min_ns = bucket.min_ns.min(total);
+            bucket.max_ns = bucket.max_ns.max(total);
+        })?;
+        if bucket.runs == 0 {
+            bucket.min_ns = 0;
+        }
+        Ok(bucket)
+    }
+}
+
+/// Split `runs` ingest-ordered runs into at most `buckets` consecutive
+/// spans. Earlier spans absorb the remainder, so the newest is never
+/// artificially small.
+pub(crate) fn trend_spans(runs: usize, buckets: usize) -> Vec<Range<usize>> {
+    if runs == 0 || buckets == 0 {
+        return Vec::new();
+    }
+    let buckets = buckets.min(runs);
+    let (base, extra) = (runs / buckets, runs % buckets);
+    let mut start = 0;
+    (0..buckets)
+        .map(|i| {
+            let len = base + usize::from(i < extra);
+            start += len;
+            start - len..start
+        })
+        .collect()
 }
 
 /// One `EXPORT` page: raw CRC-framed record frames in ascending run-id
@@ -285,6 +330,114 @@ fn parse_segment_name(name: &str) -> Option<u64> {
         .strip_suffix(".log")?
         .parse()
         .ok()
+}
+
+fn codec_error(entry: &IndexEntry, source: CodecError) -> StoreError {
+    StoreError::Codec {
+        segment: segment_name(entry.segment),
+        offset: entry.offset,
+        source,
+    }
+}
+
+fn unreadable(entry: &IndexEntry) -> StoreError {
+    StoreError::Corrupt {
+        segment: segment_name(entry.segment),
+        detail: format!("indexed record at offset {} unreadable", entry.offset),
+    }
+}
+
+/// Bytes one window refill at `rest[0]` should read: that frame plus each
+/// following frame (in serve order) that fits in the same window,
+/// stopping at the first that does not.
+fn window_span(rest: &[&IndexEntry]) -> u64 {
+    let start = rest[0].offset;
+    let mut end = start + rest[0].bytes;
+    for e in &rest[1..] {
+        if e.offset < start || e.offset + e.bytes > start + FrameWindow::MAX_BYTES {
+            break;
+        }
+        end = end.max(e.offset + e.bytes);
+    }
+    end - start
+}
+
+/// One segment's share of a frame stream: its entries in serve order and
+/// the window they are read through.
+struct SegmentCursor<'a> {
+    io: &'a dyn StoreIo,
+    window: FrameWindow,
+    next: usize,
+}
+
+/// Serve the indexed frames of `sources` (each store with some of its
+/// own entries) in ascending `key` order, calling `f` with each entry and
+/// its CRC-checked payload. Entries are grouped per segment, each group
+/// sorted by `key` and read through its own [`FrameWindow`]; a
+/// [`KWayMerge`] interleaves the groups. Memory held: one window (at most
+/// [`FrameWindow::MAX_BYTES`], or one larger frame) per segment still
+/// being read.
+pub(crate) fn stream_frames<'a>(
+    sources: Vec<(&'a ProfileStore, Vec<&'a IndexEntry>)>,
+    key: impl Fn(&IndexEntry) -> (u64, u64),
+    mut f: impl FnMut(&IndexEntry, &[u8]) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
+    let mut lists: Vec<Vec<&IndexEntry>> = Vec::new();
+    let mut cursors: Vec<SegmentCursor<'_>> = Vec::new();
+    for (store, entries) in sources {
+        let mut per_segment: BTreeMap<u64, Vec<&IndexEntry>> = BTreeMap::new();
+        for e in entries {
+            per_segment.entry(e.segment).or_default().push(e);
+        }
+        for (segment, mut list) in per_segment {
+            list.sort_by_key(|e| key(e));
+            lists.push(list);
+            cursors.push(SegmentCursor {
+                io: &*store.io,
+                window: FrameWindow::new(store.dir.join(segment_name(segment))),
+                next: 0,
+            });
+        }
+    }
+    let sources = lists
+        .iter()
+        .enumerate()
+        .map(|(c, list)| list.iter().map(move |e| (c, *e)))
+        .collect();
+    for (c, entry) in KWayMerge::new(sources, |(_, e)| key(e)) {
+        let cursor = &mut cursors[c];
+        let rest = &lists[c][cursor.next..];
+        cursor.next += 1;
+        let payload = cursor
+            .window
+            .payload_at(cursor.io, entry.offset, || window_span(rest))?
+            .ok_or_else(|| unreadable(entry))?;
+        f(entry, payload)?;
+        if cursor.next == lists[c].len() {
+            cursor.window.release();
+        }
+    }
+    Ok(())
+}
+
+/// [`stream_frames`] in (timestamp, run id) order with every payload
+/// decoded through one [`RecordDecoder`]: one decoded profile at a time.
+pub(crate) fn stream_runs<'a>(
+    sources: Vec<(&'a ProfileStore, Vec<&'a IndexEntry>)>,
+    mut f: impl FnMut(&RunMeta, &Profile),
+) -> Result<(), StoreError> {
+    let mut decoder = RecordDecoder::new();
+    stream_frames(
+        sources,
+        |e| (e.timestamp_ns, e.run_id),
+        |entry, payload| {
+            let (meta, profile) = decoder
+                .decode(payload)
+                .map_err(|source| codec_error(entry, source))?;
+            f(&meta, &profile);
+            Ok(())
+        },
+    )
 }
 
 /// The durable multi-run repository. See the crate docs for the on-disk
@@ -382,6 +535,7 @@ impl ProfileStore {
         let mut index = Vec::new();
         let mut next_run_id = 1;
         let mut recovered_tail_bytes = 0;
+        let mut last_valid_len = 0;
         for (i, &n) in numbers.iter().enumerate() {
             let is_last = i + 1 == numbers.len();
             let path = dir.join(segment_name(n));
@@ -396,6 +550,7 @@ impl ProfileStore {
                 let file_len = io.file_len(&path)?;
                 recovered_tail_bytes = file_len.saturating_sub(scan.valid_len);
             }
+            last_valid_len = scan.valid_len;
             for rec in &scan.records {
                 let meta = decode_meta(&rec.payload).map_err(|source| StoreError::Codec {
                     segment: segment_name(n),
@@ -423,14 +578,15 @@ impl ProfileStore {
         }
 
         let (writer, active_segment) = match numbers.last() {
-            Some(&last) => {
-                let path = dir.join(segment_name(last));
-                let scan = SegmentReader::scan(&*io, &path)?;
-                (
-                    SegmentWriter::recover(&*io, &path, scan.valid_len, config.sync_writes)?,
-                    last,
-                )
-            }
+            Some(&last) => (
+                SegmentWriter::recover(
+                    &*io,
+                    &dir.join(segment_name(last)),
+                    last_valid_len,
+                    config.sync_writes,
+                )?,
+                last,
+            ),
             None => (
                 SegmentWriter::create(&*io, &dir.join(segment_name(1)), config.sync_writes)?,
                 1,
@@ -572,18 +728,11 @@ impl ProfileStore {
     }
 
     fn load_entry(&self, entry: &IndexEntry) -> Result<(RunMeta, Profile), StoreError> {
-        let path = self.dir.join(segment_name(entry.segment));
-        let payload = SegmentReader::read_at(&*self.io, &path, entry.offset)?.ok_or_else(|| {
-            StoreError::Corrupt {
-                segment: segment_name(entry.segment),
-                detail: format!("indexed record at offset {} unreadable", entry.offset),
-            }
-        })?;
-        decode_record(&payload).map_err(|source| StoreError::Codec {
-            segment: segment_name(entry.segment),
-            offset: entry.offset,
-            source,
-        })
+        let mut window = FrameWindow::new(self.dir.join(segment_name(entry.segment)));
+        let payload = window
+            .payload_at(&*self.io, entry.offset, || entry.bytes)?
+            .ok_or_else(|| unreadable(entry))?;
+        decode_record(payload).map_err(|source| codec_error(entry, source))
     }
 
     /// Index entries of one (benchmark, threads) group, in ingest order.
@@ -604,32 +753,14 @@ impl ProfileStore {
     }
 
     /// Stream every run of a set of entries in (timestamp, run id) order,
-    /// one decoded profile at a time, applying `f` to each. This is the
-    /// k-way path: entries are grouped per segment, each group sorted by
-    /// key, and [`KWayMerge`] interleaves the groups; only one profile is
-    /// ever decoded at once.
+    /// one decoded profile at a time, applying `f` to each (see
+    /// [`stream_runs`]).
     fn stream_entries(
         &self,
         entries: &[&IndexEntry],
-        mut f: impl FnMut(&RunMeta, &Profile),
+        f: impl FnMut(&RunMeta, &Profile),
     ) -> Result<(), StoreError> {
-        let mut per_segment: BTreeMap<u64, Vec<&IndexEntry>> = BTreeMap::new();
-        for e in entries {
-            per_segment.entry(e.segment).or_default().push(e);
-        }
-        let sources: Vec<std::vec::IntoIter<&IndexEntry>> = per_segment
-            .into_values()
-            .map(|mut v| {
-                v.sort_by_key(|e| (e.timestamp_ns, e.run_id));
-                v.into_iter()
-            })
-            .collect();
-        let merged = KWayMerge::new(sources, |e| (e.timestamp_ns, e.run_id));
-        for entry in merged {
-            let (meta, profile) = self.load_entry(entry)?;
-            f(&meta, &profile);
-        }
-        Ok(())
+        stream_runs(vec![(self, entries.to_vec())], f)
     }
 
     /// Fold every record of every *closed* segment (all but the active
@@ -746,40 +877,16 @@ impl ProfileStore {
         buckets: usize,
     ) -> Result<Vec<TrendBucket>, StoreError> {
         let entries = self.runs_in_window(benchmark, threads, window);
-        if entries.is_empty() || buckets == 0 {
-            return Ok(Vec::new());
-        }
-        let buckets = buckets.min(entries.len());
-        let base = entries.len() / buckets;
-        let extra = entries.len() % buckets;
-        // Bucket boundaries in ingest order; bucket i gets base runs,
-        // the first `extra` buckets one more.
-        let mut bounds = Vec::with_capacity(buckets);
-        let mut start = 0;
-        for i in 0..buckets {
-            let len = base + usize::from(i < extra);
-            bounds.push((start, start + len));
-            start += len;
-        }
-        let mut out = vec![TrendBucket::default(); buckets];
-        for (i, &(lo, hi)) in bounds.iter().enumerate() {
-            let span = &entries[lo..hi];
-            let bucket = &mut out[i];
-            bucket.min_ns = u64::MAX;
-            bucket.first_timestamp_ns = span.first().map(|e| e.timestamp_ns).unwrap_or(0);
-            bucket.last_timestamp_ns = span.last().map(|e| e.timestamp_ns).unwrap_or(0);
-            self.stream_entries(span, |_, profile| {
-                let total = crate::agg::RunSummary::from_profile(profile).total_ns;
-                bucket.runs += 1;
-                bucket.sum_ns += total;
-                bucket.min_ns = bucket.min_ns.min(total);
-                bucket.max_ns = bucket.max_ns.max(total);
-            })?;
-            if bucket.runs == 0 {
-                bucket.min_ns = 0;
-            }
-        }
-        Ok(out)
+        trend_spans(entries.len(), buckets)
+            .into_iter()
+            .map(|span| {
+                TrendBucket::reduce(
+                    &entries[span],
+                    |e| e.timestamp_ns,
+                    |span, add| self.stream_entries(span, |_, p| add(run_total_ns(p))),
+                )
+            })
+            .collect()
     }
 
     /// Shape/health summary.
@@ -821,22 +928,19 @@ impl ProfileStore {
             watermark: after,
             done,
         };
-        for entry in entries {
-            let path = self.dir.join(segment_name(entry.segment));
-            let payload =
-                SegmentReader::read_at(&*self.io, &path, entry.offset)?.ok_or_else(|| {
-                    StoreError::Corrupt {
-                        segment: segment_name(entry.segment),
-                        detail: format!("indexed record at offset {} unreadable", entry.offset),
-                    }
-                })?;
-            let mut frame = Vec::with_capacity(payload.len() + RECORD_HEADER_BYTES as usize);
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&payload);
-            frame.extend_from_slice(&crate::crc::crc32(&payload).to_le_bytes());
-            batch.frames.push(frame);
-            batch.watermark = entry.run_id;
-        }
+        stream_frames(
+            vec![(self, entries)],
+            |e| (e.run_id, 0),
+            |entry, payload| {
+                let mut frame = Vec::with_capacity(payload.len() + RECORD_HEADER_BYTES as usize);
+                frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                frame.extend_from_slice(payload);
+                frame.extend_from_slice(&crate::crc::crc32(payload).to_le_bytes());
+                batch.frames.push(frame);
+                batch.watermark = entry.run_id;
+                Ok(())
+            },
+        )?;
         Ok(batch)
     }
 
@@ -960,22 +1064,23 @@ impl ProfileStore {
                 // policy: the rename commit must never point at frames
                 // still sitting in a volatile cache.
                 let mut writer = SegmentWriter::create(&*self.io, &tmp, true)?;
-                let mut new_offsets = Vec::with_capacity(live.len());
-                for &i in &live {
-                    let entry = &self.index[i];
-                    let payload = SegmentReader::read_at(&*self.io, &path, entry.offset)?
-                        .ok_or_else(|| StoreError::Corrupt {
-                            segment: segment_name(seg),
-                            detail: format!("indexed record at offset {} unreadable", entry.offset),
-                        })?;
-                    new_offsets.push(writer.append(&payload)?);
-                }
+                // Old offset -> new offset; live frames keep file order.
+                let mut moved = BTreeMap::new();
+                let live_entries = live.iter().map(|&i| &self.index[i]).collect();
+                stream_frames(
+                    vec![(&*self, live_entries)],
+                    |e| (e.offset, 0),
+                    |entry, payload| {
+                        moved.insert(entry.offset, writer.append(payload)?);
+                        Ok(())
+                    },
+                )?;
                 let old_len = self.io.file_len(&path)?;
                 let new_len = writer.len();
                 drop(writer);
                 self.io.rename(&tmp, &path)?;
-                for (&i, &offset) in live.iter().zip(&new_offsets) {
-                    self.index[i].offset = offset;
+                for &i in &live {
+                    self.index[i].offset = moved[&self.index[i].offset];
                 }
                 report.rewritten_segments += 1;
                 report.reclaimed_bytes += old_len.saturating_sub(new_len);
@@ -1436,6 +1541,142 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&leader_dir);
         let _ = std::fs::remove_dir_all(&follower_dir);
+    }
+
+    /// `StoreIo` passthrough that counts positioned reads.
+    #[derive(Debug, Default)]
+    struct CountingIo {
+        reads: std::sync::atomic::AtomicU64,
+    }
+
+    impl CountingIo {
+        fn reads(&self) -> u64 {
+            self.reads.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl StoreIo for CountingIo {
+        fn create_new(&self, path: &Path) -> std::io::Result<Box<dyn crate::io::StoreFile>> {
+            RealIo.create_new(path)
+        }
+        fn open_rw(&self, path: &Path) -> std::io::Result<Box<dyn crate::io::StoreFile>> {
+            RealIo.open_rw(path)
+        }
+        fn read_all(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            RealIo.read_all(path)
+        }
+        fn read_range(&self, path: &Path, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
+            self.reads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            RealIo.read_range(path, offset, len)
+        }
+        fn file_len(&self, path: &Path) -> std::io::Result<u64> {
+            RealIo.file_len(path)
+        }
+        fn list_dir(&self, dir: &Path) -> std::io::Result<Vec<String>> {
+            RealIo.list_dir(dir)
+        }
+        fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+            RealIo.create_dir_all(dir)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            RealIo.rename(from, to)
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            RealIo.remove_file(path)
+        }
+    }
+
+    fn assert_same_agg(a: &BenchAgg, b: &BenchAgg) {
+        assert_eq!(a.runs, b.runs);
+        assert_eq!(a.total_ns, b.total_ns);
+        assert_eq!(a.regions, b.regions);
+        assert_eq!(a.merged_main, b.merged_main);
+        assert_eq!(a.merged_tasks, b.merged_tasks);
+        assert_eq!(a.tree_mismatches, b.tree_mismatches);
+    }
+
+    #[test]
+    fn windowed_reads_serve_straddling_oversized_and_reordered_records() {
+        let dir = tmpdir("window-reader");
+        let io = Arc::new(CountingIo::default());
+        let config = StoreConfig {
+            segment_max_bytes: 256 << 10,
+            sync_writes: false,
+        };
+        let mut store = ProfileStore::open_with_io(&dir, config, io.clone()).expect("open");
+        // ~9 KiB records, so read windows end inside a record; one record
+        // larger than a whole window; timestamps that jump back and forth,
+        // so the fold order is not the offset order within a segment.
+        let runs = 60u64;
+        for i in 0..runs {
+            let mut p = profile("store-window", 100 + i);
+            let pad = if i == 25 {
+                100 << 10
+            } else {
+                9_000 + (i as usize * 37) % 500
+            };
+            p.threads[0].diagnostics.push("x".repeat(pad));
+            let ts = (i % 7) * 1_000 + (runs - i);
+            store.ingest("fib", 2, ts, &p).expect("ingest");
+        }
+        assert!(store.stats().segments >= 3, "{:?}", store.stats());
+
+        // Every closed-segment frame the windows serve is the one a full
+        // scan finds, in run-id (here: file) order, with far fewer reads
+        // than records.
+        let before = io.reads();
+        let batch = store.export_frames(0, runs as usize).expect("export");
+        let export_reads = io.reads() - before;
+        let mut scanned = Vec::new();
+        for seg in 1..=store.stats().segments {
+            let scan = SegmentReader::scan(&RealIo, &dir.join(segment_name(seg))).expect("scan");
+            scanned.extend(scan.records.into_iter().map(|r| r.payload));
+        }
+        let served: Vec<&[u8]> = batch.frames.iter().map(|f| &f[4..f.len() - 4]).collect();
+        assert_eq!(served.len(), scanned.len());
+        assert!(served.iter().zip(&scanned).all(|(a, b)| *a == b.as_slice()));
+        assert!(
+            export_reads * 4 <= runs,
+            "{export_reads} reads for {runs} records"
+        );
+
+        // No compaction: every run streams from disk.
+        let direct = store.aggregate("fib", 2).expect("aggregate");
+        assert_eq!(direct.runs, runs);
+        let all = RunWindow {
+            last: Some(runs),
+            since_ns: None,
+        };
+        let windowed = store.aggregate_window("fib", 2, &all).expect("window");
+        assert_same_agg(&direct, &windowed);
+        assert!(store.compact().expect("compact") > 0);
+        let cached = store.aggregate("fib", 2).expect("cached aggregate");
+        assert_same_agg(&direct, &cached);
+        let windowed = store.aggregate_window("fib", 2, &all).expect("window");
+        assert_same_agg(&direct, &windowed);
+
+        // A flipped payload byte in the middle of a coalesced window is
+        // still caught by that frame's CRC.
+        let victim = store.index()[3].clone();
+        assert_eq!(victim.segment, 1);
+        let path = dir.join(segment_name(victim.segment));
+        let mut data = std::fs::read(&path).expect("read segment");
+        data[victim.offset as usize + 4 + 10] ^= 0x40;
+        std::fs::write(&path, &data).expect("write segment");
+        assert!(matches!(
+            store.aggregate_window("fib", 2, &all),
+            Err(StoreError::Corrupt { .. })
+        ));
+        assert!(matches!(
+            store.export_frames(0, runs as usize),
+            Err(StoreError::Corrupt { .. })
+        ));
+        assert!(matches!(
+            store.load(victim.run_id),
+            Err(StoreError::Corrupt { .. })
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
